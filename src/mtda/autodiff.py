@@ -11,12 +11,27 @@ tensor that has ``requires_grad`` set.
 
 No broadcasting beyond what these ops need, no views escape into user code,
 and every op is deterministic for identical inputs.
+
+Tensors are NCHW at every op boundary.  Inside, ``conv2d`` is an im2col GEMM
+done channels-last (Chellapilla, Puri & Simard, *High Performance CNNs for
+Document Processing*, 2006): the input is copied once into a zero-padded
+NHWC buffer, and ``col`` holds one row per output pixel with columns ordered
+(kernel row, kernel column, channel), channel innermost, so every gather
+copies contiguous runs.  The weights are reordered to match, (Co, kh*kw*C).
+Rows are gathered and multiplied a few images at a time so a chunk is still
+in cache for its GEMM.  Backward takes ``dw`` and ``db`` from the same
+``col``, only when the weights or bias need a gradient.  ``dx`` is a
+transposed convolution (a second im2col GEMM with the flipped kernel) at
+stride 1; at larger strides, where that GEMM would mostly multiply zeros,
+``g @ w`` is scattered back with kh*kw slice-adds into an NHWC buffer.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -36,7 +51,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._tape: Tape | None = None
+        self._tape: int | None = None  # id of the tape that recorded it
         self._node: int = -1
 
     @property
@@ -82,9 +97,15 @@ def _as_tensor(x) -> Tensor:
 
 
 class Tape:
-    """Ordered record of executed ops, replayed backwards for gradients."""
+    """Ordered record of executed ops, replayed backwards for gradients.
+
+    Recorded tensors name their tape by integer id rather than by reference,
+    so the tape and its outputs form no reference cycle and a finished tape
+    is freed, with every buffer its closures hold, as soon as it is dropped.
+    """
 
     def __init__(self):
+        self._id = next(_TAPE_IDS)
         self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
     def __enter__(self) -> "Tape":
@@ -97,7 +118,7 @@ class Tape:
         return False
 
     def _record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        out._tape = self
+        out._tape = self._id
         out._node = len(self._records)
         self._records.append((out, inputs, vjp))
 
@@ -107,7 +128,7 @@ class Tape:
         Repeated calls keep accumulating, so the gradient of a sum of losses
         can equally be obtained by one backward per term.
         """
-        if loss._tape is not self:
+        if loss._tape != self._id:
             raise TapeError("loss tensor was not produced on this tape")
         if loss.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
@@ -138,6 +159,7 @@ class Tape:
 
 
 _TAPE_STACK: list[Tape] = []
+_TAPE_IDS = itertools.count()
 
 
 def _active_tape() -> Tape | None:
@@ -155,7 +177,7 @@ def _add_grad(t: Tensor, g: np.ndarray) -> None:
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(out_data)
     tape = _active_tape()
-    if tape is not None and any(t.requires_grad or t._tape is tape for t in inputs):
+    if tape is not None and any(t.requires_grad or t._tape == tape._id for t in inputs):
         tape._record(out, inputs, vjp)
     return out
 
@@ -201,6 +223,36 @@ class LayerParams:
 # layer ops
 
 
+# Bytes of im2col rows gathered per GEMM: a chunk stays in a core's cache from
+# its gather to its GEMM instead of making a round trip through memory.
+_COL_CHUNK_BYTES = 1 << 20
+
+
+def _im2col_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
+                 ho: int, wo: int, keep_col: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``col @ wmat`` for the im2col matrix ``col`` of an NHWC array ``xp``.
+
+    ``col`` is (B*ho*wo, kh*kw*C): rows by output pixel, columns by (i, j, c)
+    with C innermost, so the gather from the strided window view copies
+    contiguous runs.  It is built and multiplied a few images at a time and
+    returned whole only when ``keep_col`` is set.
+    """
+    B, C = xp.shape[0], xp.shape[3]
+    rows, k = ho * wo, kh * kw * C
+    sb, sh, sw, sc = xp.strides
+    win = as_strided(xp, (B, ho, wo, kh, kw, C),
+                     (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    per = max(1, min(B, _COL_CHUNK_BYTES // (8 * rows * k)))
+    out = np.empty((B * rows, wmat.shape[1]))
+    col = np.empty((B * rows if keep_col else per * rows, k))
+    for b0 in range(0, B, per):
+        n = min(per, B - b0)
+        c = col[b0 * rows : (b0 + n) * rows] if keep_col else col[: n * rows]
+        c.reshape(n, ho, wo, kh, kw, C)[...] = win[b0 : b0 + n]
+        np.matmul(c, wmat, out=out[b0 * rows : (b0 + n) * rows])
+    return out, col if keep_col else None
+
+
 def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation (no kernel flip) with zero padding."""
     if p.kind not in ("conv2d", "conv1x1"):
@@ -221,31 +273,42 @@ def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
         )
 
     w, b = p.weights, p.bias
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # one contiguous im2col gather, shared by forward and both backward gemms
-    col = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * Ho * Wo, C * kh * kw)
-    w2d = w.data.reshape(Co, -1)
-    out = (col @ w2d.T).reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2).copy()
-    out += b.data[None, :, None, None]
-
+    xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
+    xp[:, pad : pad + H, pad : pad + W] = x.data.transpose(0, 2, 3, 1)
+    w2d = w.data.transpose(0, 2, 3, 1).reshape(Co, kh * kw * C)
     tape = _active_tape()
-    need_dx = x.requires_grad or (tape is not None and x._tape is tape)
+    need_dx, need_dw, need_db = (
+        t.requires_grad or (tape is not None and t._tape == tape._id) for t in (x, w, b))
+    out2d, col = _im2col_gemm(xp, w2d.T, kh, kw, stride, Ho, Wo,
+                              keep_col=tape is not None and need_dw)
+    out2d += b.data
+    out = np.ascontiguousarray(out2d.reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2))
 
     def vjp(g: np.ndarray):
-        g2d = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, Co)
-        db = g2d.sum(axis=0)
-        dw = (g2d.T @ col).reshape(Co, C, kh, kw)
+        g2d = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Co)
+        db = g2d.sum(axis=0) if need_db else None
+        dw = (g2d.T @ col).reshape(Co, kh, kw, C).transpose(0, 3, 1, 2) if need_dw else None
         if not need_dx:
             return None, dw, db
-        dcol = (g2d @ w2d).reshape(B, Ho, Wo, C, kh, kw)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i : i + stride * (Ho - 1) + 1 : stride,
-                    j : j + stride * (Wo - 1) + 1 : stride] += dcol[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        dx = dxp[:, :, pad : pad + H, pad : pad + W] if pad else dxp
-        return dx, dw, db
+        if stride == 1:
+            # transposed convolution: im2col of g padded by k-1 on every side,
+            # one GEMM against the flipped kernel, read only over the interior
+            gp = np.zeros((B, Ho + 2 * (kh - 1), Wo + 2 * (kw - 1), Co))
+            gp[:, kh - 1 : kh - 1 + Ho, kw - 1 : kw - 1 + Wo] = g2d.reshape(B, Ho, Wo, Co)
+            w_flip = w2d.reshape(Co, kh, kw, C)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(-1, C)
+            dx, _ = _im2col_gemm(gp[:, pad:, pad:], w_flip, kh, kw, 1, H, W, keep_col=False)
+            dx = dx.reshape(B, H, W, C)
+        else:
+            # a strided transposed convolution would multiply mostly zeros;
+            # scatter the kh*kw columns of dcol instead, C contiguous in both
+            dcol = (g2d @ w2d).reshape(B, Ho, Wo, kh, kw, C)
+            dxp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, i : i + stride * (Ho - 1) + 1 : stride,
+                        j : j + stride * (Wo - 1) + 1 : stride] += dcol[:, :, :, i, j]
+            dx = dxp[:, pad : pad + H, pad : pad + W]
+        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), dw, db
 
     return _emit(out, (x, w, b), vjp)
 

@@ -147,6 +147,29 @@ def _build_conv(rng):
             [x, p.weights, p.bias])
 
 
+def _build_conv_same(rng):
+    x = _rand(rng, 2, 3, 5, 7)
+    p = conv_params(rng, 3, 4, k=3)
+    return (_probed(lambda: conv2d(x, p, stride=1, pad=1), rng.derive("probe")),
+            [x, p.weights, p.bias])
+
+
+def _build_conv_1x1(rng):
+    x = _rand(rng, 2, 3, 4, 5)
+    p = conv_params(rng, 3, 2, k=1)
+    return (_probed(lambda: conv2d(x, p, stride=1, pad=0), rng.derive("probe")),
+            [x, p.weights, p.bias])
+
+
+def _build_conv_frozen_weights(rng):
+    """Weights without requires_grad: backward skips dw but not dx and db."""
+    x = _rand(rng, 2, 3, 5, 5)
+    p = conv_params(rng, 3, 4, k=3)
+    p.weights.requires_grad = False
+    return (_probed(lambda: conv2d(x, p, stride=2, pad=1), rng.derive("probe")),
+            [x, p.bias])
+
+
 def _build_fc(rng):
     v = _rand(rng, 3, 5)
     p = fc_params(rng, 5, 4)
@@ -285,6 +308,9 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("tad", _build_tad),
     ("dst_block", _build_dst_block),
     ("task_net", _build_task_net),
+    ("conv2d_stride1_pad1", _build_conv_same),
+    ("conv2d_1x1", _build_conv_1x1),
+    ("conv2d_frozen_weights", _build_conv_frozen_weights),
 ]
 
 

@@ -9,6 +9,7 @@ names and shapes for inspection.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -29,15 +30,23 @@ def pack_tensor(a: np.ndarray) -> bytes:
     return head + a.astype("<f8").tobytes()
 
 
+def _u32(buf: bytes, offset: int, path: str, what: str) -> int:
+    if offset + 4 > len(buf):
+        raise FormatError(f"{path}: truncated {what} at byte {offset}")
+    return struct.unpack_from("<I", buf, offset)[0]
+
+
 def unpack_tensor(buf: bytes, offset: int, path: str) -> tuple[np.ndarray, int]:
     if buf[offset : offset + 8] != TENSOR_MAGIC:
         raise FormatError(f"{path}: bad tensor magic at byte {offset}")
     offset += 8
-    (rank,) = struct.unpack_from("<I", buf, offset)
+    rank = _u32(buf, offset, path, "tensor rank")
     offset += 4
+    if offset + 4 * rank > len(buf):
+        raise FormatError(f"{path}: truncated dims of rank-{rank} tensor at byte {offset}")
     dims = struct.unpack_from(f"<{rank}I", buf, offset)
     offset += 4 * rank
-    count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+    count = math.prod(dims)
     end = offset + 8 * count
     if end > len(buf):
         raise FormatError(f"{path}: truncated payload, need {end} bytes have {len(buf)}")
@@ -76,13 +85,18 @@ def read_archive(path: str | Path) -> dict[str, np.ndarray]:
     buf = path.read_bytes()
     if buf[:8] != ARCHIVE_MAGIC:
         raise FormatError(f"{path}: bad archive magic")
-    (count,) = struct.unpack_from("<I", buf, 8)
+    count = _u32(buf, 8, str(path), "entry count")
     offset = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", buf, offset)
+        nlen = _u32(buf, offset, str(path), "name length")
         offset += 4
-        name = buf[offset : offset + nlen].decode("utf-8")
+        if offset + nlen > len(buf):
+            raise FormatError(f"{path}: truncated name at byte {offset}")
+        try:
+            name = buf[offset : offset + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: name at byte {offset} is not utf-8") from e
         offset += nlen
         out[name], offset = unpack_tensor(buf, offset, str(path))
     if offset != len(buf):

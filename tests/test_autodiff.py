@@ -1,9 +1,12 @@
 """Forward oracles and backward contracts for the tensor engine."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from mtda.autodiff import (
+    _COL_CHUNK_BYTES,
     IGNORE_VALUE,
     LayerParams,
     ShapeError,
@@ -63,10 +66,74 @@ class TestConv2d:
         rng = SplitMix64(42)
         x = rng.normal(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
         p = conv_params(SplitMix64(7), 3, 4, k=3)
-        for stride, pad in [(1, 0), (1, 1), (2, 1)]:
+        for stride, pad in [(1, 0), (1, 1), (2, 1), (2, 0)]:
             got = conv2d(Tensor(x), p, stride, pad).data
             want = conv_oracle(x, p.weights.data, p.bias.data, stride, pad)
             assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("shape, ci, co, k, stride, pad", [
+        ((2, 7, 5), 3, 4, 3, 1, 1),   # odd, non-square
+        ((1, 9, 6), 3, 2, 3, 2, 1),   # odd height, stride 2
+        ((2, 7, 7), 3, 4, 3, 2, 0),   # stride 2, no padding
+        ((2, 6, 5), 1, 3, 3, 1, 1),   # single input channel
+        ((2, 5, 6), 4, 1, 3, 2, 1),   # single output channel
+        ((2, 5, 7), 3, 4, 1, 1, 0),   # 1x1 kernel
+    ])
+    def test_matches_oracle_across_shapes(self, shape, ci, co, k, stride, pad):
+        b, h, w = shape
+        x = SplitMix64(h * w).normal(b * ci * h * w).reshape(b, ci, h, w)
+        p = conv_params(SplitMix64(ci * co), ci, co, k=k)
+        got = conv2d(Tensor(x), p, stride, pad).data
+        want = conv_oracle(x, p.weights.data, p.bias.data, stride, pad)
+        assert got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_multi_chunk_batch_matches_reference_and_adjoint(self, stride):
+        # one 40x40 image's im2col rows exceed a GEMM chunk, so the batch of
+        # three runs as several chunks in forward and in the dx GEMM
+        assert 40 * 40 * 9 * 16 * 8 > _COL_CHUNK_BYTES
+        rng = SplitMix64(21)
+        x = rng.normal(3 * 16 * 40 * 40).reshape(3, 16, 40, 40)
+        p = conv_params(SplitMix64(22), 16, 8, k=3)
+        w, b = p.weights.data, p.bias.data
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = conv2d(xt, p, stride=stride, pad=1)
+            r = SplitMix64(23).normal(y.data.size).reshape(y.shape)
+            loss = tensor_sum(y * Tensor(r))
+        tape.backward(loss)
+
+        win = np.lib.stride_tricks.sliding_window_view(
+            np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3), axis=(2, 3))
+        want = np.einsum("bchwij,ocij->bohw", win[:, :, ::stride, ::stride], w)
+        assert np.abs(y.data - b[None, :, None, None] - want).max() < 1e-12
+        # conv is linear in x and in w, so <y - b, r> = <x, dx> = <w, dw>
+        lin = ((y.data - b[None, :, None, None]) * r).sum()
+        assert (x * xt.grad).sum() == pytest.approx(lin, rel=1e-12)
+        assert (w * p.weights.grad).sum() == pytest.approx(lin, rel=1e-12)
+        np.testing.assert_allclose(p.bias.grad, r.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    def test_frozen_weights_skip_dw_and_keep_dx(self):
+        rng = SplitMix64(13)
+        x = rng.normal(2 * 3 * 7 * 5).reshape(2, 3, 7, 5)
+        r = rng.normal(2 * 4 * 4 * 3).reshape(2, 4, 4, 3)
+
+        def grads(weights_trainable):
+            p = conv_params(SplitMix64(14), 3, 4, k=3)
+            p.weights.requires_grad = weights_trainable
+            xt = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                loss = tensor_sum(conv2d(xt, p, stride=2, pad=1) * Tensor(r))
+            tape.backward(loss)
+            return xt.grad, p.weights.grad, p.bias.grad
+
+        dx, dw, db = grads(True)
+        dx_f, dw_f, db_f = grads(False)
+        assert dw is not None and dw_f is None
+        assert (dx == dx_f).all()
+        assert (db == db_f).all()
 
     def test_channel_mismatch_names_axes(self):
         x = Tensor(np.zeros((1, 3, 8, 8)))
@@ -252,6 +319,29 @@ class TestBackward:
             y = relu(x)
         with pytest.raises(ValueError, match="scalar"):
             tape.backward(y)
+
+    def test_finished_tape_is_freed_by_reference_counting(self):
+        from mtda.taskseg import TaskNet
+
+        net = TaskNet(num_classes=3, rng=SplitMix64(0))
+        x = Tensor(SplitMix64(1).normal(2 * 3 * 8 * 8).reshape(2, 3, 8, 8))
+        labels = (SplitMix64(2).uniform(2 * 8 * 8) * 3).astype(np.int64).reshape(2, 8, 8)
+
+        def step():
+            with Tape() as tape:
+                logits, _ = net.forward(x)
+                loss = softmax_cross_entropy(logits, labels)
+            net.params.zero_grad()
+            tape.backward(loss)
+
+        step()  # warm-up: lazy imports and one-time caches
+        gc.collect()
+        gc.disable()  # an automatic collection would hide a cycle
+        try:
+            step()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ops_deterministic(self):
         rng = SplitMix64(4)

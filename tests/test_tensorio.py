@@ -1,15 +1,21 @@
 """Binary tensor and archive formats."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtda.rng import SplitMix64
 from mtda.tensorio import (
     FormatError,
+    pack_tensor,
     read_archive,
     read_tensor,
+    unpack_tensor,
     write_archive,
     write_tensor,
 )
@@ -77,3 +83,45 @@ def test_archive_bad_magic(tmp_path):
     path.write_bytes(b"WRONG!!!" + b"\x00" * 8)
     with pytest.raises(FormatError, match="archive magic"):
         read_archive(path)
+
+
+_names = st.text(alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
+                 max_size=6)
+_arrays = st.lists(st.integers(0, 3), max_size=3).map(
+    lambda dims: np.arange(float(np.prod(dims, dtype=np.int64))).reshape(dims))
+
+
+@settings(max_examples=25, deadline=None)
+@given(named=st.dictionaries(_names, _arrays, max_size=3))
+def test_archive_cut_at_every_offset_raises_format_error(named):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.bin"
+        write_archive(path, named)
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError):
+                read_archive(path)
+        path.write_bytes(blob)
+        back = read_archive(path)
+    assert list(back) == list(named)
+
+
+def test_unpack_tensor_cut_at_every_offset_raises_format_error():
+    blob = pack_tensor(np.arange(6.0).reshape(2, 3))
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            unpack_tensor(blob[:cut], 0, "cut")
+
+
+def test_archive_name_not_utf8(tmp_path):
+    path = tmp_path / "a.bin"
+    path.write_bytes(b"ADASARCH" + struct.pack("<II", 1, 1) + b"\xff" + pack_tensor(np.zeros(1)))
+    with pytest.raises(FormatError, match="utf-8"):
+        read_archive(path)
+
+
+def test_huge_rank_is_truncation_not_struct_error():
+    blob = b"ADASTNSR" + struct.pack("<I", 2**31)
+    with pytest.raises(FormatError, match="truncated dims"):
+        unpack_tensor(blob, 0, "huge")

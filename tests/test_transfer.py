@@ -1,6 +1,8 @@
 """Transfer network: style/content algebra, conditional denormalization,
 residual-block hand traces, and the loss stack."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from mtda.transfer import (
     compose,
     mtdt_losses,
     tad_forward,
+    train_mtdt,
 )
 
 
@@ -212,6 +215,20 @@ class TestLossStack:
         )
         rng = SplitMix64(31)
         self.stats = [rand_stats(rng, 32) for _ in range(2)]
+
+    def test_training_step_is_freed_by_reference_counting(self):
+        def step():
+            train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats,
+                       iterations=1)
+
+        step()  # warm-up: lazy imports and one-time caches
+        gc.collect()
+        gc.disable()  # an automatic collection would hide a cycle
+        try:
+            step()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_all_terms_finite_and_nonnegative(self):
         terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
