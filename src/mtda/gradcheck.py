@@ -266,8 +266,8 @@ def _build_dst_block(rng):
 
     params = ParamGroup()
     block = TadResBlock(params, "blk", channels=4, stats_dim=3, rng=rng)
-    # the block zero-inits its second TAD; fill it in so every path carries
-    # gradient during the check
+    # the block zero-inits its second TAD's scale FC; fill both FCs in so
+    # every path carries gradient during the check
     for fc in (block.fc_scale_b, block.fc_bias_b):
         fc.weights.data = rng.normal(fc.weights.data.size).reshape(fc.weights.shape)
         fc.bias.data = rng.normal(fc.bias.data.size)

@@ -101,11 +101,13 @@ def tad_forward(x: Tensor, stats: DomainStatistics, fc_scale: LayerParams,
 class TadResBlock:
     """conv -> TAD -> ReLU -> conv -> TAD, plus identity skip.
 
-    The second TAD's FC pair starts at zero, so the whole residual branch is
-    zero and the block is an exact identity at initialization: restyling
-    then departs from the intact source-styled reconstruction instead of
-    from statistics-conditioned noise, and the first useful gradients flow
-    straight into the FC layers that read the target statistics."""
+    The second TAD's scale FC starts at zero, so at initialization the
+    residual branch is the per-channel shift FC_bias_b(mu) of the target
+    mean: the block stays close to an identity, and restyling departs from
+    the intact source-styled reconstruction instead of from
+    statistics-conditioned noise, yet its output already depends on the
+    target statistics, and the first useful gradients flow straight into
+    the FC layers that read them."""
 
     def __init__(self, params: ParamGroup, prefix: str, channels: int, stats_dim: int,
                  rng: SplitMix64):
@@ -116,9 +118,8 @@ class TadResBlock:
         self.conv_b = reg(f"{prefix}.conv_b", conv_params(rng, channels, channels, k=3))
         self.fc_scale_b = reg(f"{prefix}.fc_scale_b", fc_params(rng, stats_dim, channels))
         self.fc_bias_b = reg(f"{prefix}.fc_bias_b", fc_params(rng, stats_dim, channels))
-        for fc in (self.fc_scale_b, self.fc_bias_b):
-            fc.weights.data[:] = 0.0
-            fc.bias.data[:] = 0.0
+        self.fc_scale_b.weights.data[:] = 0.0
+        self.fc_scale_b.bias.data[:] = 0.0
 
     def forward(self, x: Tensor, stats: DomainStatistics) -> Tensor:
         h = conv2d(x, self.conv_a, stride=1, pad=1)
