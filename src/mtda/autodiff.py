@@ -230,13 +230,8 @@ _COL_CHUNK_BYTES = 1 << 20
 
 def _im2col_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
                  ho: int, wo: int, keep_col: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """``col @ wmat`` for the im2col matrix ``col`` of an NHWC array ``xp``.
-
-    ``col`` is (B*ho*wo, kh*kw*C): rows by output pixel, columns by (i, j, c)
-    with C innermost, so the gather from the strided window view copies
-    contiguous runs.  It is built and multiplied a few images at a time and
-    returned whole only when ``keep_col`` is set.
-    """
+    """``(col @ wmat, col)`` for the (B*ho*wo, kh*kw*C) im2col matrix ``col``
+    of the NHWC array ``xp``; ``col`` is None unless ``keep_col`` is set."""
     B, C = xp.shape[0], xp.shape[3]
     rows, k = ho * wo, kh * kw * C
     sb, sh, sw, sc = xp.strides

@@ -63,31 +63,25 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data, 2.0 * x.data + 1.0)
 
     def test_matches_direct_summation_oracle(self):
-        rng = SplitMix64(42)
-        x = rng.normal(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
-        p = conv_params(SplitMix64(7), 3, 4, k=3)
-        for stride, pad in [(1, 0), (1, 1), (2, 1), (2, 0)]:
+        cases = [((2, 8, 8), 3, 4, 3, stride, pad)
+                 for stride, pad in [(1, 0), (1, 1), (2, 1), (2, 0)]]
+        cases += [
+            ((2, 7, 5), 3, 4, 3, 1, 1),   # odd, non-square
+            ((1, 9, 6), 3, 2, 3, 2, 1),   # odd height, stride 2
+            ((2, 7, 7), 3, 4, 3, 2, 0),   # stride 2, no padding
+            ((2, 6, 5), 1, 3, 3, 1, 1),   # single input channel
+            ((2, 5, 6), 4, 1, 3, 2, 1),   # single output channel
+            ((2, 5, 7), 3, 4, 1, 1, 0),   # 1x1 kernel
+            ((1, 4, 5), 2, 3, 1, 1, 1),   # padding wider than the kernel
+        ]
+        for (b, h, w), ci, co, k, stride, pad in cases:
+            x = SplitMix64(42).normal(b * ci * h * w).reshape(b, ci, h, w)
+            p = conv_params(SplitMix64(7), ci, co, k=k)
             got = conv2d(Tensor(x), p, stride, pad).data
             want = conv_oracle(x, p.weights.data, p.bias.data, stride, pad)
+            assert got.shape == want.shape
+            assert got.flags.c_contiguous
             assert np.abs(got - want).max() < 1e-12
-
-    @pytest.mark.parametrize("shape, ci, co, k, stride, pad", [
-        ((2, 7, 5), 3, 4, 3, 1, 1),   # odd, non-square
-        ((1, 9, 6), 3, 2, 3, 2, 1),   # odd height, stride 2
-        ((2, 7, 7), 3, 4, 3, 2, 0),   # stride 2, no padding
-        ((2, 6, 5), 1, 3, 3, 1, 1),   # single input channel
-        ((2, 5, 6), 4, 1, 3, 2, 1),   # single output channel
-        ((2, 5, 7), 3, 4, 1, 1, 0),   # 1x1 kernel
-    ])
-    def test_matches_oracle_across_shapes(self, shape, ci, co, k, stride, pad):
-        b, h, w = shape
-        x = SplitMix64(h * w).normal(b * ci * h * w).reshape(b, ci, h, w)
-        p = conv_params(SplitMix64(ci * co), ci, co, k=k)
-        got = conv2d(Tensor(x), p, stride, pad).data
-        want = conv_oracle(x, p.weights.data, p.bias.data, stride, pad)
-        assert got.shape == want.shape
-        assert got.flags.c_contiguous
-        assert np.abs(got - want).max() < 1e-12
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_multi_chunk_batch_matches_reference_and_adjoint(self, stride):
@@ -125,8 +119,11 @@ class TestConv2d:
             p.weights.requires_grad = weights_trainable
             xt = Tensor(x, requires_grad=True)
             with Tape() as tape:
-                loss = tensor_sum(conv2d(xt, p, stride=2, pad=1) * Tensor(r))
+                y = conv2d(xt, p, stride=2, pad=1)
+                loss = tensor_sum(y * Tensor(r))
             tape.backward(loss)
+            _, _, conv_vjp = tape._records[y._node]
+            assert (conv_vjp(r)[1] is None) == (not weights_trainable)
             return xt.grad, p.weights.grad, p.bias.grad
 
         dx, dw, db = grads(True)
