@@ -30,30 +30,6 @@ from .taskseg import TaskNet
 DEFAULT_SWITCH_ITERATION = 300
 
 
-class ClassCentroidBank:
-    """Per-class running centroid features for one (domain, direction) pair."""
-
-    def __init__(self, direction: str, num_classes: int, feature_dim: int):
-        self.direction = direction
-        self.bank = RunningMeanBank(num_classes, feature_dim)
-
-    @property
-    def num_classes(self) -> int:
-        return self.bank.slots
-
-    def update_class(self, c: int, mean_vec: np.ndarray) -> None:
-        self.bank.update(c, mean_vec)
-
-    def initialized(self) -> np.ndarray:
-        return self.bank.initialized()
-
-    def centroids(self) -> np.ndarray:
-        return self.bank.means
-
-    def counts(self) -> np.ndarray:
-        return self.bank.counts
-
-
 def class_means(features: np.ndarray, labels: np.ndarray,
                 num_classes: int, ignore_value: int = IGNORE_VALUE
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -81,15 +57,15 @@ def class_means(features: np.ndarray, labels: np.ndarray,
     return means, counts
 
 
-def nearest_class(features: np.ndarray, bank: ClassCentroidBank) -> np.ndarray:
+def nearest_class(features: np.ndarray, bank: RunningMeanBank) -> np.ndarray:
     """Per-pixel argmin over initialized centroids of the L2 feature distance."""
     init = bank.initialized()
     if not init.any():
-        raise ValueError(f"centroid bank '{bank.direction}' has no initialized class")
+        raise ValueError("centroid bank has no initialized class")
     features = np.asarray(features, dtype=np.float64)
     df, hf, wf = features.shape
     classes = np.nonzero(init)[0]                      # ascending, so argmin ties
-    cents = bank.centroids()[classes]                  # break toward lowest index
+    cents = bank.means[classes]                        # break toward lowest index
     flat = features.reshape(df, -1).T                  # (P, Df)
     d2 = ((flat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
     return classes[np.argmin(d2, axis=1)].reshape(hf, wf)
@@ -105,11 +81,6 @@ def filter_labels(labels: np.ndarray, nearest: np.ndarray,
     return np.where(labels == nearest, labels, ignore_value)
 
 
-def pseudo_labels(net: TaskNet, image_data: np.ndarray) -> np.ndarray:
-    """Argmax class map of the current task network (ties to the lowest index)."""
-    return net.predict(image_data)
-
-
 @dataclass
 class BarsState:
     num_classes: int
@@ -117,23 +88,20 @@ class BarsState:
     num_domains: int
     switch_iteration: int = DEFAULT_SWITCH_ITERATION
     iteration: int = 0
-    transferred_banks: list[ClassCentroidBank] = field(default_factory=list)
-    target_banks: list[ClassCentroidBank] = field(default_factory=list)
+    # one per-class centroid bank per target domain and direction
+    transferred_banks: list[RunningMeanBank] = field(default_factory=list)
+    target_banks: list[RunningMeanBank] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.transferred_banks:
-            self.transferred_banks = [
-                ClassCentroidBank(f"transferred->target[{k}]", self.num_classes, self.feature_dim)
-                for k in range(self.num_domains)
-            ]
-            self.target_banks = [
-                ClassCentroidBank(f"target[{k}]", self.num_classes, self.feature_dim)
-                for k in range(self.num_domains)
-            ]
+            self.transferred_banks = [RunningMeanBank(self.num_classes, self.feature_dim)
+                                      for _ in range(self.num_domains)]
+            self.target_banks = [RunningMeanBank(self.num_classes, self.feature_dim)
+                                 for _ in range(self.num_domains)]
 
 
 def _select_with_cold_start(features: np.ndarray, labels: np.ndarray,
-                            bank: ClassCentroidBank) -> tuple[np.ndarray, int]:
+                            bank: RunningMeanBank) -> tuple[np.ndarray, int]:
     """Filtered labels for one direction, honoring the cold-start keep rule.
 
     Returns (filtered map, number of pixels kept only because their class
@@ -144,19 +112,19 @@ def _select_with_cold_start(features: np.ndarray, labels: np.ndarray,
     nearest = nearest_class(features, bank)
     filtered = filter_labels(labels, nearest)
     valid = labels != IGNORE_VALUE
-    uninit = valid & ~init[np.clip(labels, 0, bank.num_classes - 1)] & (labels < bank.num_classes)
+    uninit = valid & ~init[np.clip(labels, 0, bank.slots - 1)] & (labels < bank.slots)
     filtered[uninit] = labels[uninit]
     return filtered, int(uninit.sum())
 
 
-def _update_banks_from_batch(bank: ClassCentroidBank, features: np.ndarray,
+def _update_banks_from_batch(bank: RunningMeanBank, features: np.ndarray,
                              labels: np.ndarray, num_classes: int) -> None:
     """One CMA update per (image, present class); absent classes untouched."""
     for b in range(features.shape[0]):
         means, counts = class_means(features[b], labels[b], num_classes)
         for c in range(num_classes):
             if counts[c] > 0:
-                bank.update_class(c, means[c])
+                bank.update(c, means[c])
 
 
 @dataclass
@@ -218,9 +186,9 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
 
         if verify:
             _verify_selection(feats_src, lab_src, bars_src, state.target_banks[domain],
-                              enabled=filter_source)
+                              enabled=filter_source, what=f"restyled[{domain}]")
             _verify_selection(feats_tgt, lab_tgt, bars_tgt, state.transferred_banks[domain],
-                              enabled=True)
+                              enabled=True, what=f"target[{domain}]")
 
         kept_src = float((bars_src != IGNORE_VALUE).mean())
         kept_tgt = float((bars_tgt != IGNORE_VALUE).mean())
@@ -255,14 +223,14 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
         kept_fraction_target=kept_tgt,
         cold_start_keeps=cold_keeps,
         skipped=bool(skipped),
-        centroid_counts_transferred=[int(c) for c in state.transferred_banks[domain].counts()],
-        centroid_counts_target=[int(c) for c in state.target_banks[domain].counts()],
+        centroid_counts_transferred=[int(c) for c in state.transferred_banks[domain].counts],
+        centroid_counts_target=[int(c) for c in state.target_banks[domain].counts],
     )
     return float(loss.item()), diag
 
 
 def _verify_selection(features: np.ndarray, raw: np.ndarray, kept: np.ndarray,
-                      bank: ClassCentroidBank, enabled: bool) -> None:
+                      bank: RunningMeanBank, enabled: bool, what: str) -> None:
     """Exhaustive soundness check: every filtered-kept pixel's nearest centroid
     is its own label."""
     if not enabled:
@@ -273,9 +241,9 @@ def _verify_selection(features: np.ndarray, raw: np.ndarray, kept: np.ndarray,
     for b in range(features.shape[0]):
         nearest = nearest_class(features[b], bank)
         mask = kept[b] != IGNORE_VALUE
-        cold = mask & ~init[np.clip(raw[b], 0, bank.num_classes - 1)]
+        cold = mask & ~init[np.clip(raw[b], 0, bank.slots - 1)]
         check = mask & ~cold
         if not (nearest[check] == kept[b][check]).all():
             raise AssertionError(
-                f"selection soundness violated in bank '{bank.direction}'"
+                f"selection soundness violated on {what} pixels"
             )

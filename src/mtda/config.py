@@ -12,6 +12,8 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .toydata import BUILTIN_DOMAINS, CLASS_NAMES
+
 
 class ConfigError(ValueError):
     """Malformed or invalid experiment configuration."""
@@ -68,6 +70,12 @@ class ExperimentConfig:
             raise ConfigError("need at least 2 train and 1 eval scenes")
         if self.mtdt_batch < 1 or self.task_batch < 1:
             raise ConfigError("batch sizes must be >= 1")
+        if (all(name in BUILTIN_DOMAINS for name in (self.source, *self.targets))
+                and self.num_classes != len(CLASS_NAMES)):
+            raise ConfigError(
+                f"num_classes must be {len(CLASS_NAMES)} for the builtin domains "
+                f"({', '.join(CLASS_NAMES)}), got {self.num_classes}"
+            )
         return self
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import IGNORE_VALUE
-
 
 def one_hot(label: np.ndarray, num_classes: int) -> np.ndarray:
     """(B,H,W) int labels -> (B,K,H,W) float64 one-hot; ignore rows are all-zero."""
@@ -31,8 +29,3 @@ def nn_upsample(label: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
         return label
     return label.repeat(factor, axis=-2).repeat(factor, axis=-1)
-
-
-def masked_fraction_kept(label: np.ndarray, ignore_value: int = IGNORE_VALUE) -> float:
-    label = np.asarray(label)
-    return float((label != ignore_value).sum()) / label.size

@@ -52,10 +52,6 @@ class ParamGroup:
         self._items.extend(named_layer_params(prefix, p))
         return p
 
-    def extend(self, other: "ParamGroup", prefix: str = "") -> None:
-        for name, t in other._items:
-            self._items.append((f"{prefix}{name}", t))
-
     def named(self) -> list[tuple[str, Tensor]]:
         return list(self._items)
 

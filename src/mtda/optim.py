@@ -67,8 +67,3 @@ class Adam:
             self._m[name] = m
             self._s[name] = s
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(s / bc2) + self.eps)
-
-
-def zero_grads(named_params: list[tuple[str, Tensor]]) -> None:
-    for _, p in named_params:
-        p.zero_grad()

@@ -368,18 +368,17 @@ def phase_eval(cfg: ExperimentConfig, net: TaskNet, data: Datasets,
 def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
                                scenes: list[ToyScene],
                                stats_list: list[DomainStatistics]) -> float:
-    """Fraction of held-out restyled images whose domain head picks their target."""
+    """Fraction of held-out restyled images whose domain head picks their target.
+
+    The images are restyled by :func:`transfer_dataset`, so the critic sees
+    them clamped to [-1,1], as in training and as ``phase_transfer`` writes
+    them."""
     correct = 0
-    total = 0
     for k, stats in enumerate(stats_list):
-        for start in range(0, len(scenes), 16):
-            chunk = scenes[start : start + 16]
-            images, labels = _stack(chunk, range(len(chunk)))
-            moved = model.transfer_image(Tensor(images), labels, stats)
-            _, dom = disc.forward(moved)
-            correct += int((np.argmax(dom.data, axis=1) == k).sum())
-            total += len(chunk)
-    return correct / total
+        moved = np.stack([s.image for s in transfer_dataset(model, scenes, stats)])
+        _, dom = disc.forward(Tensor(moved))
+        correct += int((np.argmax(dom.data, axis=1) == k).sum())
+    return correct / (len(stats_list) * len(scenes))
 
 
 def run_pipeline(cfg: ExperimentConfig, verify_selection: bool = False) -> RunRecord:

@@ -92,14 +92,6 @@ class SplitMix64:
     def uniform_range(self, lo: float, hi: float, n: int) -> np.ndarray:
         return lo + (hi - lo) * self.uniform(n)
 
-    def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n) driven by randint."""
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx
-
     def derive(self, *tags: int | str) -> "SplitMix64":
         """Independent child stream keyed by (current seed, tags).
 

@@ -165,7 +165,7 @@ def generate(spec: DomainSpec, seed: int, count: int, h: int, w: int) -> list[To
 # on-disk layout: tensor files plus a tab-separated manifest
 
 
-def export(scenes: list[ToyScene], out_dir: str | Path, dump_ppm: bool = False) -> Path:
+def export(scenes: list[ToyScene], out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -175,8 +175,6 @@ def export(scenes: list[ToyScene], out_dir: str | Path, dump_ppm: bool = False) 
         write_tensor(out_dir / img_name, scene.image)
         write_tensor(out_dir / lab_name, scene.label.astype(np.float64))
         lines.append(f"{img_name}\t{lab_name}\t{scene.seed}\n")
-        if dump_ppm:
-            write_ppm(out_dir / f"image_{i:05d}.ppm", scene.image)
     manifest = out_dir / "manifest.txt"
     manifest.write_text("".join(lines), encoding="utf-8")
     return manifest

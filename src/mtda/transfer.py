@@ -11,15 +11,19 @@ an additive skip, and TAD instance-normalizes its input then rescales by
 FC(sigma) and shifts by FC(mu).  Nothing in the model is per-domain; only
 the statistics vectors select the target.
 
-Training alternates a discriminator step and a generator step.  The
-discriminator carries a shared trunk with a patch-logit head (real/fake per
-patch) and a domain-classification head.  Real/fake terms use binary
-cross-entropy on logits in the non-saturating form: the discriminator
+One critic, shared by every target, carries a trunk with a patch-logit head
+(real/fake per patch) and a domain-classification head.  Real/fake terms use
+binary cross-entropy on logits in the non-saturating form: the critic
 minimizes BCE(real, 1) + BCE(fake, 0); the generator minimizes BCE(fake, 1).
 The generator additionally minimizes reconstruction L1 on the three
 reconstruction routes, a fixed-network perceptual distance between each
 restyled image and its source, and domain-classification cross-entropy on
 the restyled images.
+
+``mtdt_losses`` builds every term in one forward pass.  A training
+iteration records that pass on one tape and runs backward twice on it:
+once from the generator total for the generator step, once from the critic
+total for the critic step.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .autodiff import (
     LayerParams,
+    Tape,
     Tensor,
     ShapeError,
     channel_affine,
@@ -235,11 +240,6 @@ class MtdtModel:
     def reconstruct_direct(self, image: Tensor) -> Tensor:
         return self.generate(self.encode(image))
 
-    def reconstruct_styled(self, image: Tensor, label: np.ndarray) -> Tensor:
-        """Same compose/generate path as transfer_image but with the source style."""
-        style, content = self.extract_style_content(image, label)
-        return self.generate(compose(style, content))
-
 
 class MultiHeadDiscriminator:
     """Shared conv trunk with a patch real/fake head and a domain classifier.
@@ -342,10 +342,10 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     """Every objective term in one pass.
 
     The discriminator terms see the restyled images detached, so backward of
-    the discriminator total reaches only discriminator parameters, and
-    backward of the generator total reaches only generator-side parameters
-    plus discriminator activations (whose parameter gradients the caller
-    discards).
+    the discriminator total reaches only discriminator parameters.  Backward
+    of the generator total reaches the generator-side parameters and, through
+    the critic's view of the restyled images, the discriminator parameters
+    too; :func:`train_mtdt` drops those before its critic step.
     """
     if len(stats_list) != len(batch.target_images):
         raise ValueError(
@@ -389,46 +389,6 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     return LossTerms(rec=rec, per=per, adv_g=adv_g, cls_g=cls_g, adv_d=adv_d, cls_d=cls_d)
 
 
-def _discriminator_loss(disc: MultiHeadDiscriminator, fakes: list[Tensor],
-                        batch: TransferBatch) -> tuple[Tensor, Tensor]:
-    adv_d = Tensor(0.0)
-    cls_d = Tensor(0.0)
-    b = batch.source_image.shape[0]
-    for k, (target, fake) in enumerate(zip(batch.target_images, fakes)):
-        patch_real, dom_real = disc.forward(target)
-        patch_fake, _ = disc.forward(fake)
-        adv_d = adv_d + sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
-        adv_d = adv_d + sigmoid_bce_with_logits(patch_fake, np.zeros(patch_fake.shape))
-        cls_d = cls_d + softmax_cross_entropy(dom_real, _domain_targets(b, k))
-    return adv_d, cls_d
-
-
-def _generator_loss(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualNet,
-                    batch: TransferBatch, stats_list: list[DomainStatistics]
-                    ) -> tuple[Tensor, list[Tensor], dict[str, float]]:
-    b = batch.source_image.shape[0]
-    style, content = model.extract_style_content(batch.source_image, batch.source_label)
-    rec = l1_loss(model.reconstruct_direct(batch.source_image), batch.source_image)
-    rec = rec + l1_loss(model.generate(compose(style, content)), batch.source_image)
-    per = Tensor(0.0)
-    adv_g = Tensor(0.0)
-    cls_g = Tensor(0.0)
-    p_src = pnet.features(batch.source_image)
-    fakes = []
-    for k, (target, stats) in enumerate(zip(batch.target_images, stats_list)):
-        rec = rec + l1_loss(model.reconstruct_direct(target), target)
-        fake = clamp_unit(model.generate(compose(model.dst_transfer(style, stats), content)))
-        fakes.append(fake)
-        per = per + mse_loss(pnet.features(fake), p_src)
-        patch_fake, dom_fake = disc.forward(fake)
-        adv_g = adv_g + sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
-        cls_g = cls_g + softmax_cross_entropy(dom_fake, _domain_targets(b, k))
-    total = rec + per + adv_g + cls_g
-    terms = {"rec": rec.item(), "per": per.item(), "adv_g": adv_g.item(),
-             "cls_g": cls_g.item(), "g_total": total.item()}
-    return total, fakes, terms
-
-
 DISC_LR_FACTOR = 2.0
 
 
@@ -440,16 +400,19 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     """Alternating generator/discriminator optimization.
 
     ``sample_batch(i)`` must return the iteration's :class:`TransferBatch`.
-    The discriminator step reuses the generator step's restyled images,
-    detached.  The critic runs on a faster timescale (DISC_LR_FACTOR x the
-    generator rate): with one step each per iteration and a shared rate, the
-    much larger generator tracks the critic's boundary and pins it at chance,
-    and the restyled branch then collapses.  Raises RuntimeError if any loss
-    goes non-finite.  Returns the per-iteration loss records (also passed to
-    ``log_sink`` when given).
+    Each iteration records :func:`mtdt_losses` on one tape.  Backward of the
+    generator total drives the generator step; its gradients on the critic
+    are then dropped, and backward of the discriminator total, which sees
+    the restyled images detached and the critic's weights from before either
+    step, drives the critic step.  The critic runs on a faster timescale
+    (DISC_LR_FACTOR x the generator rate): with one step each per iteration
+    and a shared rate, the much larger generator tracks the critic's
+    boundary and pins it at chance, and the restyled branch then collapses.
+    Raises ValueError if ``stats_list`` does not match the batch's targets
+    and the critic's domains, and RuntimeError if any loss goes non-finite.
+    Returns the per-iteration loss records (also passed to ``log_sink`` when
+    given).
     """
-    from .autodiff import Tape
-
     adam_g = Adam(lr=lr, beta1=beta1, beta2=beta2, weight_decay=weight_decay)
     adam_d = Adam(lr=lr * DISC_LR_FACTOR, beta1=beta1, beta2=beta2,
                   weight_decay=weight_decay)
@@ -458,26 +421,20 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     log: list[dict] = []
 
     for i in range(iterations):
-        batch = sample_batch(i)
-
         with Tape() as tape:
-            loss_g, fakes, terms = _generator_loss(model, disc, pnet, batch, stats_list)
+            terms = mtdt_losses(model, disc, pnet, sample_batch(i), stats_list)
+            loss_g = terms.generator_total
+            loss_d = terms.discriminator_total
         model.params.zero_grad()
         tape.backward(loss_g)
         adam_g.step(gen_named)
-        model.params.zero_grad()
-        disc.params.zero_grad()
-
-        with Tape() as tape:
-            adv_d, cls_d = _discriminator_loss(disc, [f.detach() for f in fakes], batch)
-            loss_d = adv_d + cls_d
         disc.params.zero_grad()
         tape.backward(loss_d)
         adam_d.step(disc_named)
+        model.params.zero_grad()
         disc.params.zero_grad()
 
-        record = {"iteration": i, **terms,
-                  "adv_d": adv_d.item(), "cls_d": cls_d.item(), "d_total": loss_d.item()}
+        record = {"iteration": i, **terms.breakdown()}
         if not all(np.isfinite(v) for v in record.values()):
             raise RuntimeError(f"non-finite loss at iteration {i}: {record}")
         log.append(record)

@@ -1,23 +1,19 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 1-5 are oracle/property checks and run in seconds.  Criteria 6-9
-drive the full pipeline on the default toy benchmark over three seeds (plus
-ablation variants and a source-only baseline) through one shared session
-fixture; expect roughly 20-30 minutes of CPU for the whole module.
+Criteria 1-5 exist: oracle and property checks that run in seconds.
+Criteria 6-9 (end-to-end gain over source-only on three seeds, ablation
+ordering of the two label filters, domain-classifier accuracy on held-out
+restyled images, byte-determinism) are not implemented yet.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to watch the lines appear.
 """
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mtda.autodiff import IGNORE_VALUE, Tensor
-from mtda.bars import ClassCentroidBank, class_means, filter_labels, nearest_class
-from mtda.config import ExperimentConfig
+from mtda.bars import class_means, filter_labels, nearest_class
 from mtda.layers import identity_fc
 from mtda.rng import SplitMix64
 from mtda.stats import DomainStatistics, RunningMeanBank, WelfordAccumulator
@@ -133,20 +129,20 @@ def test_criterion_4_bars_oracle_equivalence():
                 worst_mean = max(worst_mean,
                                  float(np.abs(means[c] - flat_f[:, sel].mean(axis=1)).max()))
 
-        bank = ClassCentroidBank("acc-test", k, df)
+        bank = RunningMeanBank(k, df)
         submitted = {c: [] for c in range(k)}
         for _ in range(1 + rng.randint(6)):
             c = rng.randint(k)
             v = rng.normal(df)
-            bank.update_class(c, v)
+            bank.update(c, v)
             submitted[c].append(v)
         for c in range(k):
             if submitted[c]:
                 worst_mean = max(worst_mean, float(np.abs(
-                    bank.centroids()[c] - np.mean(submitted[c], axis=0)).max()))
+                    bank.means[c] - np.mean(submitted[c], axis=0)).max()))
 
         near = nearest_class(feats, bank)
-        cents = bank.centroids()
+        cents = bank.means
         init = np.nonzero(bank.initialized())[0]
         for i in range(h):
             for j in range(h):

@@ -248,7 +248,7 @@ class TestLosses:
         rng = SplitMix64(12)
         a = rng.normal(24).reshape(1, 2, 3, 4)
         b = rng.normal(24).reshape(1, 2, 3, 4)
-        perm = SplitMix64(1).permutation(12)
+        perm = np.argsort(SplitMix64(1).uniform(12))
         ap = a.reshape(1, 2, 12)[:, :, perm].reshape(1, 2, 3, 4)
         bp = b.reshape(1, 2, 12)[:, :, perm].reshape(1, 2, 3, 4)
         assert l1_loss(Tensor(a), Tensor(b)).item() == pytest.approx(

@@ -7,15 +7,14 @@ import pytest
 from mtda.autodiff import IGNORE_VALUE, Tape, Tensor, softmax_cross_entropy
 from mtda.bars import (
     BarsState,
-    ClassCentroidBank,
     bars_step,
     class_means,
     filter_labels,
     nearest_class,
-    pseudo_labels,
 )
 from mtda.optim import SgdMomentum
 from mtda.rng import SplitMix64
+from mtda.stats import RunningMeanBank
 from mtda.taskseg import FEATURE_DIM, TaskNet
 
 
@@ -72,43 +71,43 @@ class TestClassMeans:
 
 class TestCentroidBank:
     def test_first_update_sets_centroid(self):
-        bank = ClassCentroidBank("test", 3, 2)
-        bank.update_class(1, np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(bank.centroids()[1], [2.0, -1.0])
+        bank = RunningMeanBank(3, 2)
+        bank.update(1, np.array([2.0, -1.0]))
+        np.testing.assert_array_equal(bank.means[1], [2.0, -1.0])
         assert bank.initialized().tolist() == [False, True, False]
 
     def test_sequence_matches_arithmetic_mean(self):
         rng = SplitMix64(3)
-        bank = ClassCentroidBank("test", 2, 4)
+        bank = RunningMeanBank(2, 4)
         vecs = [rng.normal(4) for _ in range(25)]
         for v in vecs:
-            bank.update_class(0, v)
-        np.testing.assert_allclose(bank.centroids()[0], np.mean(vecs, axis=0), atol=1e-12)
-        assert bank.counts()[1] == 0
+            bank.update(0, v)
+        np.testing.assert_allclose(bank.means[0], np.mean(vecs, axis=0), atol=1e-12)
+        assert bank.counts[1] == 0
 
     def test_replay_reproduces_bank(self):
         rng = SplitMix64(4)
-        bank = ClassCentroidBank("a", 3, 2)
+        bank = RunningMeanBank(3, 2)
         log = []
         for _ in range(30):
             c = rng.randint(3)
             v = rng.normal(2)
-            bank.update_class(c, v)
+            bank.update(c, v)
             log.append((c, v))
-        replay = ClassCentroidBank("b", 3, 2)
+        replay = RunningMeanBank(3, 2)
         for c, v in log:
-            replay.update_class(c, v)
-        assert (bank.centroids() == replay.centroids()).all()
-        assert (bank.counts() == replay.counts()).all()
+            replay.update(c, v)
+        assert (bank.means == replay.means).all()
+        assert (bank.counts == replay.counts).all()
 
 
 class TestNearestClass:
     def bank_with(self, cents):
         dims = [len(v) for v in cents if v is not None]
-        bank = ClassCentroidBank("t", len(cents), dims[0])
+        bank = RunningMeanBank(len(cents), dims[0])
         for c, v in enumerate(cents):
             if v is not None:
-                bank.update_class(c, np.asarray(v, dtype=np.float64))
+                bank.update(c, np.asarray(v, dtype=np.float64))
         return bank
 
     def test_exact_centroid_wins(self):
@@ -134,7 +133,7 @@ class TestNearestClass:
         bank = self.bank_with([rng.normal(6) for _ in range(4)])
         f = rng.normal(6 * 5 * 5).reshape(6, 5, 5)
         got = nearest_class(f, bank)
-        cents = bank.centroids()
+        cents = bank.means
         for i in range(5):
             for j in range(5):
                 d = [np.sqrt(((f[:, i, j] - cents[c]) ** 2).sum()) for c in range(4)]
@@ -145,14 +144,14 @@ class TestNearestClass:
         bank = self.bank_with([rng.normal(3) for _ in range(5)])
         f = rng.normal(3 * 4 * 4).reshape(3, 4, 4)
         got = nearest_class(f, bank)
-        cents = bank.centroids()
+        cents = bank.means
         flat = f.reshape(3, -1).T
         d2 = ((flat[:, None, :] - cents[None]) ** 2).sum(axis=2)
         assert (got.ravel() == np.argmin(d2 + 7.5, axis=1)).all()  # argmin invariance
 
     def test_empty_bank_raises(self):
         with pytest.raises(ValueError, match="no initialized class"):
-            nearest_class(np.zeros((2, 2, 2)), ClassCentroidBank("e", 3, 2))
+            nearest_class(np.zeros((2, 2, 2)), RunningMeanBank(3, 2))
 
 
 class TestFilterLabels:
@@ -186,6 +185,8 @@ class TestFilterLabels:
 
 
 class TestPseudoLabels:
+    """Pseudo labels are the task net's argmax map, ``TaskNet.predict``."""
+
     def rigged_net(self, bias):
         net = TaskNet(len(bias), SplitMix64(0))
         net.classifier.weights.data[:] = 0.0
@@ -194,19 +195,19 @@ class TestPseudoLabels:
 
     def test_dominating_class_everywhere(self):
         net = self.rigged_net([0.1, 0.9, 0.3])
-        out = pseudo_labels(net, np.zeros((1, 3, 16, 16)))
+        out = net.predict(np.zeros((1, 3, 16, 16)))
         assert (out == 1).all()
 
     def test_tie_goes_to_lowest_index(self):
         net = self.rigged_net([0.5, 0.5, 0.1])
-        out = pseudo_labels(net, np.zeros((1, 3, 16, 16)))
+        out = net.predict(np.zeros((1, 3, 16, 16)))
         assert (out == 0).all()
 
     def test_matches_argmax_oracle(self):
         rng = SplitMix64(8)
         net = TaskNet(4, SplitMix64(9))
         img = rng.normal(2 * 3 * 16 * 16).reshape(2, 3, 16, 16)
-        got = pseudo_labels(net, img)
+        got = net.predict(img)
         logits, _ = net.forward(Tensor(img))
         for b in range(2):
             for i in range(16):

@@ -37,6 +37,15 @@ def test_config_error_exit_code(tmp_path):
     assert main(["stats", "--config", str(bad)]) == EXIT_CONFIG
 
 
+def test_wrong_num_classes_fails_before_any_artifact(tmp_path):
+    out = tmp_path / "run"
+    path = tmp_path / "config.txt"
+    save_config(ExperimentConfig(num_classes=3, train_scenes=6, eval_scenes=2,
+                                 out_dir=str(out)), path)
+    assert main(["stats", "--config", str(path)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_missing_prerequisite_is_runtime_error(mini_cfg):
     cfg, path = mini_cfg
     assert main(["transfer", "--config", path]) == EXIT_RUNTIME

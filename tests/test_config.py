@@ -77,3 +77,13 @@ def test_validation_bounds():
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/config.txt")
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_builtin_domains_fix_num_classes(k):
+    with pytest.raises(ConfigError, match="num_classes must be 4"):
+        ExperimentConfig(num_classes=k).validate()
+
+
+def test_dataset_dir_domain_leaves_num_classes_free(tmp_path):
+    ExperimentConfig(num_classes=5, targets=("dusk", str(tmp_path))).validate()

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from mtda.autodiff import Tensor
 from mtda.config import ExperimentConfig
 from mtda.pipeline import (
     PhaseError,
     build_datasets,
+    domain_classifier_accuracy,
     init_models,
     phase_adapt,
     phase_stats,
@@ -16,6 +18,7 @@ from mtda.pipeline import (
     run_pipeline,
     run_source_only_baseline,
     load_stats,
+    transfer_dataset,
 )
 
 
@@ -116,3 +119,31 @@ def test_stats_checkpoint_files_per_domain(tmp_path):
     assert (out / "stats_dusk.bin").is_file()
     assert (out / "stats_night.bin").is_file()
     assert len(load_stats(cfg, out)) == 2
+
+
+def test_domain_classifier_scores_the_clamped_restyled_images(tmp_path):
+    cfg = mini_cfg(tmp_path, eval_scenes=3)
+    data = build_datasets(cfg)
+    model, disc, _ = init_models(cfg)
+    stats_list, _ = phase_stats(cfg, model, data, tmp_path)
+    model.gen3.bias.data[:] = [3.0, -3.0, 0.0]  # raw output far outside [-1,1]
+
+    forward = disc.forward
+    restyled, correct = [], 0
+    for k, stats in enumerate(stats_list):
+        images = np.stack([s.image for s in transfer_dataset(model, data.source_eval, stats)])
+        _, dom = forward(Tensor(images))
+        correct += int((np.argmax(dom.data, axis=1) == k).sum())
+        restyled.append(images)
+    assert np.abs(restyled[0]).max() == 1.0
+
+    seen = []
+
+    def spy(image):
+        seen.append(image.data.copy())
+        return forward(image)
+
+    disc.forward = spy
+    acc = domain_classifier_accuracy(model, disc, data.source_eval, stats_list)
+    assert acc == correct / (len(stats_list) * len(data.source_eval))
+    np.testing.assert_array_equal(np.concatenate(seen), np.concatenate(restyled))

@@ -1,5 +1,5 @@
 """Transfer network: style/content algebra, conditional denormalization,
-residual-block hand traces, and the loss stack."""
+residual-block hand traces, and the loss stack that training runs."""
 
 import gc
 
@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from mtda.autodiff import ShapeError, Tape, Tensor, instance_norm
-from mtda.layers import ParamGroup, conv_params, identity_fc
+from mtda.layers import ParamGroup, identity_fc
+from mtda.optim import Adam
 from mtda.rng import SplitMix64
 from mtda.stats import DomainStatistics
 from mtda.tensorio import read_archive
 from mtda.toydata import generate, DEFAULT_SOURCE, DEFAULT_TARGETS
 from mtda.transfer import (
+    DISC_LR_FACTOR,
     ContentTensor,
     MtdtModel,
     MultiHeadDiscriminator,
@@ -184,13 +186,6 @@ class TestModel:
         assert a.shape == (2, 3, 32, 32)
         assert (a == b).all()
 
-    def test_styled_reconstruction_shares_compose_path(self):
-        # source-style reconstruction is exactly compose(style, content) -> G
-        style, content = self.model.extract_style_content(self.image, self.labels)
-        direct = self.model.generate(compose(style, content)).data
-        via_api = self.model.reconstruct_styled(self.image, self.labels).data
-        assert (direct == via_api).all()
-
     def test_parameter_inventory_is_domain_free(self):
         names = [n for n, _ in self.model.params.named()]
         assert len(names) == len(set(names))
@@ -229,6 +224,48 @@ class TestLossStack:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_training_rejects_stats_count_mismatch(self):
+        with pytest.raises(ValueError, match="statistics for"):
+            train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats[:1],
+                       iterations=1)
+
+    def test_training_logs_the_loss_terms(self):
+        want = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats).breakdown()
+        log = train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats,
+                         iterations=1)
+        assert log == [{"iteration": 0, **want}]
+
+    def test_training_steps_each_side_on_its_own_total(self):
+        # reference: each total's gradients from a tape of its own, at the
+        # initial weights, applied by a fresh Adam to copies of the parameters
+        want = {}
+        for side, params, lr in (("generator_total", self.model.params, 1e-3),
+                                 ("discriminator_total", self.disc.params,
+                                  1e-3 * DISC_LR_FACTOR)):
+            with Tape() as tape:
+                loss = getattr(mtdt_losses(self.model, self.disc, self.pnet,
+                                           self.batch, self.stats), side)
+            self.model.params.zero_grad()
+            self.disc.params.zero_grad()
+            tape.backward(loss)
+            copies = []
+            for name, t in params.named():
+                c = Tensor(t.data.copy())
+                c.grad = t.grad
+                copies.append((name, c))
+            Adam(lr=lr, weight_decay=1e-5).step(copies)
+            want.update((name, c.data) for name, c in copies)
+        self.model.params.zero_grad()
+        self.disc.params.zero_grad()
+
+        train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats,
+                   iterations=1)
+        got = dict(self.model.params.named() + self.disc.params.named())
+        assert got.keys() == want.keys()
+        for name, t in got.items():
+            np.testing.assert_allclose(t.data, want[name], rtol=1e-9, atol=1e-12, err_msg=name)
+            assert t.grad is None, name
 
     def test_all_terms_finite_and_nonnegative(self):
         terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
