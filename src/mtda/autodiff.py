@@ -3,11 +3,11 @@
 Everything the transfer and task networks need lives here: convolution,
 fully-connected, instance normalization, ReLU, the loss functions, and a
 handful of structural ops (concat/slice on channels, nearest upsampling,
-channel-wise affine modulation, global average pooling).  Each op computes
-its forward value with numpy and, when a :class:`Tape` is active, records a
-vector-Jacobian closure.  ``Tape.backward`` replays the records in exact
-reverse execution order and accumulates gradients on every participating
-tensor that has ``requires_grad`` set.
+channel-wise affine modulation, global average pooling, batch tiling).
+Each op computes its forward value with numpy and, when a :class:`Tape` is
+active, records a vector-Jacobian closure.  ``Tape.backward`` replays the
+records in exact reverse execution order and accumulates gradients on every
+participating tensor that has ``requires_grad`` set.
 
 No broadcasting beyond what these ops need, no views escape into user code,
 and every op is deterministic for identical inputs.
@@ -183,36 +183,19 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
 
 
 class LayerParams:
-    """Weights + bias of one layer, tagged by kind.
+    """Weights + bias of one layer.
 
-    kind 'conv2d' and 'conv1x1': weights (out_ch, in_ch, kH, kW), bias (out_ch,).
-    kind 'fc': weights (out_dim, in_dim), bias (out_dim,).
+    Convolution weights are (out_ch, in_ch, kH, kW), fully-connected weights
+    (out_dim, in_dim); the bias is (out,) either way.
     """
 
-    KINDS = ("conv2d", "fc", "conv1x1")
-
-    def __init__(self, kind: str, weights: Tensor, bias: Tensor):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown layer kind {kind!r}")
-        if kind in ("conv2d", "conv1x1"):
-            if weights.data.ndim != 4:
-                raise ShapeError(f"{kind} weights must be 4-d, got {weights.shape}")
-            if kind == "conv1x1" and weights.shape[2:] != (1, 1):
-                raise ShapeError(f"conv1x1 kernel must be 1x1, got {weights.shape}")
-        else:
-            if weights.data.ndim != 2:
-                raise ShapeError(f"fc weights must be 2-d, got {weights.shape}")
+    def __init__(self, weights: Tensor, bias: Tensor):
         if bias.data.ndim != 1 or bias.shape[0] != weights.shape[0]:
             raise ShapeError(
                 f"bias length {bias.shape} does not match output size {weights.shape[0]}"
             )
-        self.kind = kind
         self.weights = weights
         self.bias = bias
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def in_dim(self) -> int:
@@ -250,8 +233,8 @@ def _im2col_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int
 
 def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation (no kernel flip) with zero padding."""
-    if p.kind not in ("conv2d", "conv1x1"):
-        raise ValueError(f"conv2d needs conv params, got kind {p.kind!r}")
+    if p.weights.data.ndim != 4:
+        raise ShapeError(f"conv2d weights must be 4-d, got {p.weights.shape}")
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d input must be (B,C,H,W), got {x.shape}")
     if stride < 1:
@@ -310,8 +293,8 @@ def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
 
 def fully_connected(v: Tensor, p: LayerParams) -> Tensor:
     """out = v @ W.T + b, per batch row."""
-    if p.kind != "fc":
-        raise ValueError(f"fully_connected needs fc params, got kind {p.kind!r}")
+    if p.weights.data.ndim != 2:
+        raise ShapeError(f"fully_connected weights must be 2-d, got {p.weights.shape}")
     if v.data.ndim != 2:
         raise ShapeError(f"fully_connected input must be (B,D), got {v.shape}")
     if v.shape[1] != p.in_dim:
@@ -490,6 +473,16 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def vjp(g: np.ndarray):
         return np.broadcast_to(g[:, :, None, None] / (H * W), x.shape).copy(),
+
+    return _emit(out, (x,), vjp)
+
+
+def repeat_batch(x: Tensor, n: int) -> Tensor:
+    """n copies of x stacked on the batch axis, copy-major: row k*B + b is x[b]."""
+    out = np.tile(x.data, (n,) + (1,) * (x.data.ndim - 1))
+
+    def vjp(g: np.ndarray):
+        return g.reshape((n,) + x.shape).sum(axis=0),
 
     return _emit(out, (x,), vjp)
 

@@ -58,17 +58,20 @@ def class_means(features: np.ndarray, labels: np.ndarray,
 
 
 def nearest_class(features: np.ndarray, bank: RunningMeanBank) -> np.ndarray:
-    """Per-pixel argmin over initialized centroids of the L2 feature distance."""
+    """Per-pixel argmin over initialized centroids of the L2 feature distance.
+
+    features: (..., Df, Hf, Wf), e.g. one image or a whole batch; the result
+    is the (..., Hf, Wf) class map."""
     init = bank.initialized()
     if not init.any():
         raise ValueError("centroid bank has no initialized class")
     features = np.asarray(features, dtype=np.float64)
-    df, hf, wf = features.shape
+    *lead, df, hf, wf = features.shape
     classes = np.nonzero(init)[0]                      # ascending, so argmin ties
     cents = bank.means[classes]                        # break toward lowest index
-    flat = features.reshape(df, -1).T                  # (P, Df)
+    flat = np.moveaxis(features.reshape(*lead, df, -1), -2, -1).reshape(-1, df)  # (P, Df)
     d2 = ((flat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
-    return classes[np.argmin(d2, axis=1)].reshape(hf, wf)
+    return classes[np.argmin(d2, axis=1)].reshape(*lead, hf, wf)
 
 
 def filter_labels(labels: np.ndarray, nearest: np.ndarray,
@@ -104,8 +107,9 @@ def _select_with_cold_start(features: np.ndarray, labels: np.ndarray,
                             bank: RunningMeanBank) -> tuple[np.ndarray, int]:
     """Filtered labels for one direction, honoring the cold-start keep rule.
 
-    Returns (filtered map, number of pixels kept only because their class
-    centroid is not initialized yet)."""
+    features: (B, Df, Hf, Wf); labels: (B, Hf, Wf).  Returns (filtered maps,
+    number of pixels kept only because their class centroid is not
+    initialized yet)."""
     init = bank.initialized()
     if not init.any():
         return labels.copy(), int((labels != IGNORE_VALUE).sum())
@@ -168,21 +172,14 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
         lab_src = nn_downsample(np.asarray(source_label), factor)
         lab_tgt = np.argmax(nn_downsample(logits_tgt.data, factor), axis=1)
 
-        cold_keeps = 0
         if filter_source:
-            bars_src = np.empty_like(lab_src)
-            for b in range(lab_src.shape[0]):
-                bars_src[b], n_cold = _select_with_cold_start(
-                    feats_src[b], lab_src[b], state.target_banks[domain])
-                cold_keeps += n_cold
+            bars_src, cold_keeps = _select_with_cold_start(
+                feats_src, lab_src, state.target_banks[domain])
         else:
-            bars_src = lab_src.copy()
-
-        bars_tgt = np.empty_like(lab_tgt)
-        for b in range(lab_tgt.shape[0]):
-            bars_tgt[b], n_cold = _select_with_cold_start(
-                feats_tgt[b], lab_tgt[b], state.transferred_banks[domain])
-            cold_keeps += n_cold
+            bars_src, cold_keeps = lab_src.copy(), 0
+        bars_tgt, n_cold = _select_with_cold_start(
+            feats_tgt, lab_tgt, state.transferred_banks[domain])
+        cold_keeps += n_cold
 
         if verify:
             _verify_selection(feats_src, lab_src, bars_src, state.target_banks[domain],
@@ -238,12 +235,7 @@ def _verify_selection(features: np.ndarray, raw: np.ndarray, kept: np.ndarray,
     init = bank.initialized()
     if not init.any():
         return
-    for b in range(features.shape[0]):
-        nearest = nearest_class(features[b], bank)
-        mask = kept[b] != IGNORE_VALUE
-        cold = mask & ~init[np.clip(raw[b], 0, bank.slots - 1)]
-        check = mask & ~cold
-        if not (nearest[check] == kept[b][check]).all():
-            raise AssertionError(
-                f"selection soundness violated on {what} pixels"
-            )
+    nearest = nearest_class(features, bank)
+    check = (kept != IGNORE_VALUE) & init[np.clip(raw, 0, bank.slots - 1)]
+    if not (nearest[check] == kept[check]).all():
+        raise AssertionError(f"selection soundness violated on {what} pixels")

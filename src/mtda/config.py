@@ -53,10 +53,12 @@ class ExperimentConfig:
     dump_images: bool = False
 
     def validate(self) -> "ExperimentConfig":
-        positive = ["mtdt_lr", "mtdt_beta1", "mtdt_beta2", "task_lr", "task_momentum"]
-        for name in positive:
+        for name in ["mtdt_lr", "task_lr", "task_momentum"]:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ["mtdt_beta1", "mtdt_beta2"]:
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
         nonneg = ["mtdt_weight_decay", "task_weight_decay", "mtdt_iterations",
                   "adapt_iterations", "stats_updates", "bars_m"]
         for name in nonneg:

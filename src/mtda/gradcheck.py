@@ -37,6 +37,7 @@ from .autodiff import (
     l1_loss,
     mse_loss,
     relu,
+    repeat_batch,
     sigmoid_bce_with_logits,
     slice_channels,
     softmax_cross_entropy,
@@ -49,16 +50,6 @@ from .rng import SplitMix64
 H_STEP = 1e-5
 REL_TOLERANCE = 1e-4
 _REG = 1e-4
-
-
-def finite_diff(f: Callable[[], float], arr: np.ndarray, h: float = H_STEP) -> np.ndarray:
-    """Central differences of scalar f with respect to arr, perturbed in place."""
-    g = np.zeros_like(arr)
-    flat = arr.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        gflat[i] = _central_diff(f, flat, i, h)
-    return g
 
 
 def _central_diff(f: Callable[[], float], flat: np.ndarray, i: int, h: float) -> float:
@@ -75,10 +66,6 @@ def relative_error(analytic, numeric) -> np.ndarray:
     analytic = np.asarray(analytic)
     numeric = np.asarray(numeric)
     return np.abs(analytic - numeric) / (np.abs(analytic) + np.abs(numeric) + _REG)
-
-
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    return float(relative_error(analytic, numeric).max())
 
 
 @dataclass
@@ -249,10 +236,12 @@ def _build_tad(rng):
     from .stats import DomainStatistics
     from .transfer import tad_forward
 
-    x = _rand(rng, 1, 4, 5, 5)
+    x = _rand(rng, 2, 4, 5, 5)
     fc_scale = fc_params(rng, 4, 4)
     fc_bias = fc_params(rng, 4, 4)
-    stats = DomainStatistics(mu=rng.normal(4), sigma=np.abs(rng.normal(4)) + 0.5, n=10)
+    # one statistics row per sample, the layout of the stacked MTDT batch
+    stats = [DomainStatistics(mu=rng.normal(4), sigma=np.abs(rng.normal(4)) + 0.5, n=10)
+             for _ in range(2)]
     return (
         _probed(lambda: tad_forward(x, stats, fc_scale, fc_bias), rng.derive("probe")),
         [x, fc_scale.weights, fc_scale.bias, fc_bias.weights, fc_bias.bias],
@@ -273,8 +262,13 @@ def _build_dst_block(rng):
         fc.bias.data = rng.normal(fc.bias.data.size)
     x = _rand(rng, 1, 4, 5, 5)
     stats = DomainStatistics(mu=rng.normal(3), sigma=np.abs(rng.normal(3)) + 0.5, n=10)
-    return (_probed(lambda: block.forward(x, stats), rng.derive("probe")),
+    return (_probed(lambda: block.forward(x, [stats]), rng.derive("probe")),
             [x] + params.tensors())
+
+
+def _build_repeat_batch(rng):
+    x = _rand(rng, 2, 3, 4, 4)
+    return (_probed(lambda: repeat_batch(x, 3), rng.derive("probe")), [x])
 
 
 def _build_task_net(rng):
@@ -311,6 +305,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("conv2d_stride1_pad1", _build_conv_same),
     ("conv2d_1x1", _build_conv_1x1),
     ("conv2d_frozen_weights", _build_conv_frozen_weights),
+    ("repeat_batch", _build_repeat_batch),
 ]
 
 

@@ -15,26 +15,14 @@ def conv_params(rng: SplitMix64, in_ch: int, out_ch: int, k: int = 3) -> LayerPa
     bound = fan_in ** -0.5
     w = rng.uniform_range(-bound, bound, out_ch * fan_in).reshape(out_ch, in_ch, k, k)
     b = rng.uniform_range(-bound, bound, out_ch)
-    kind = "conv1x1" if k == 1 else "conv2d"
-    return LayerParams(kind, Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
+    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 def fc_params(rng: SplitMix64, in_dim: int, out_dim: int) -> LayerParams:
     bound = in_dim ** -0.5
     w = rng.uniform_range(-bound, bound, out_dim * in_dim).reshape(out_dim, in_dim)
     b = rng.uniform_range(-bound, bound, out_dim)
-    return LayerParams("fc", Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
-
-
-def identity_fc(dim: int) -> LayerParams:
-    """FC layer that passes its input through unchanged (for statistic tests)."""
-    import numpy as np
-
-    return LayerParams(
-        "fc",
-        Tensor(np.eye(dim), requires_grad=True),
-        Tensor(np.zeros(dim), requires_grad=True),
-    )
+    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 def named_layer_params(prefix: str, p: LayerParams):

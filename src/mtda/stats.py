@@ -41,10 +41,6 @@ class DomainStatistics:
             raise ValueError("domain statistics must be finite with sigma >= 0")
 
     @property
-    def channels(self) -> int:
-        return self.mu.shape[0]
-
-    @property
     def variance(self) -> np.ndarray:
         return self.sigma**2
 

@@ -43,9 +43,6 @@ class DomainSpec:
         if len(self.class_offsets) != NUM_CLASSES:
             raise ValueError(f"domain {self.name}: need {NUM_CLASSES} class offsets")
 
-    def class_color(self, c: int) -> np.ndarray:
-        return np.asarray(self.color_mean) + np.asarray(self.class_offsets[c])
-
 
 @dataclass
 class ToyScene:

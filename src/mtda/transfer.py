@@ -20,10 +20,14 @@ reconstruction routes, a fixed-network perceptual distance between each
 restyled image and its source, and domain-classification cross-entropy on
 the restyled images.
 
-``mtdt_losses`` builds every term in one forward pass.  A training
-iteration records that pass on one tape and runs backward twice on it:
-once from the generator total for the generator step, once from the critic
-total for the critic step.
+``mtdt_losses`` builds every term in one forward pass over all N targets
+at once: the N target batches are stacked domain-major into one (N*B)
+batch, the source style and content are tiled N times to match, and TAD
+reads one statistics row per sample, so one restyle, one perceptual and
+three critic passes serve every target.  A training iteration records that
+pass on one tape and runs backward twice on it: once from the generator
+total for the generator step, once from the critic total for the critic
+step.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .autodiff import (
     l1_loss,
     mse_loss,
     relu,
+    repeat_batch,
     sigmoid_bce_with_logits,
     slice_channels,
     softmax_cross_entropy,
@@ -73,33 +78,22 @@ class StyleTensors:
             raise ShapeError(f"gamma shape {self.gamma.shape} != beta shape {self.beta.shape}")
 
 
-@dataclass
-class ContentTensor:
-    c: Tensor
-
-
-def compose(style: StyleTensors, content: ContentTensor) -> Tensor:
+def compose(style: StyleTensors, content: Tensor) -> Tensor:
     """Image feature = gamma * content + beta, elementwise."""
-    if style.gamma.shape != content.c.shape:
-        raise ShapeError(f"style shape {style.gamma.shape} != content shape {content.c.shape}")
-    return style.gamma * content.c + style.beta
+    if style.gamma.shape != content.shape:
+        raise ShapeError(f"style shape {style.gamma.shape} != content shape {content.shape}")
+    return style.gamma * content + style.beta
 
 
-def tad_forward(x: Tensor, stats: DomainStatistics, fc_scale: LayerParams,
+def tad_forward(x: Tensor, stats: list[DomainStatistics], fc_scale: LayerParams,
                 fc_bias: LayerParams, eps: float = NORM_EPS) -> Tensor:
-    """Instance-normalize x, then rescale by FC(sigma) and shift by FC(mu)."""
-    c = x.shape[1]
-    if fc_scale.in_dim != stats.channels or fc_bias.in_dim != stats.channels:
-        raise ShapeError(
-            f"TAD FC input dims ({fc_scale.in_dim},{fc_bias.in_dim}) "
-            f"!= statistics channels {stats.channels}"
-        )
-    if fc_scale.out_dim != c or fc_bias.out_dim != c:
-        raise ShapeError(
-            f"TAD FC output dims ({fc_scale.out_dim},{fc_bias.out_dim}) != input channels {c}"
-        )
-    scale = fully_connected(Tensor(stats.sigma[None, :]), fc_scale)
-    bias = fully_connected(Tensor(stats.mu[None, :]), fc_bias)
+    """Instance-normalize x, then rescale by FC(sigma) and shift by FC(mu).
+
+    ``stats`` holds one entry for the whole batch or one per sample; the
+    stacked MTDT batch passes one per sample, domain-major.  Mismatched
+    statistics, FC and channel sizes raise ShapeError from the ops."""
+    scale = fully_connected(Tensor(np.stack([s.sigma for s in stats])), fc_scale)
+    bias = fully_connected(Tensor(np.stack([s.mu for s in stats])), fc_bias)
     return channel_affine(instance_norm(x, eps), scale, bias)
 
 
@@ -126,7 +120,7 @@ class TadResBlock:
         self.fc_scale_b.weights.data[:] = 0.0
         self.fc_scale_b.bias.data[:] = 0.0
 
-    def forward(self, x: Tensor, stats: DomainStatistics) -> Tensor:
+    def forward(self, x: Tensor, stats: list[DomainStatistics]) -> Tensor:
         h = conv2d(x, self.conv_a, stride=1, pad=1)
         h = relu(tad_forward(h, stats, self.fc_scale_a, self.fc_bias_a))
         h = conv2d(h, self.conv_b, stride=1, pad=1)
@@ -195,25 +189,26 @@ class MtdtModel:
             beta=conv2d(h, self.se_beta, stride=1, pad=1),
         )
 
-    def content_from_onehot(self, label_onehot: Tensor) -> ContentTensor:
+    def content_from_onehot(self, label_onehot: Tensor) -> Tensor:
         """1x1 projection of a one-hot label map already at feature resolution."""
         if label_onehot.shape[1] != self.num_classes:
             raise ShapeError(
                 f"label one-hot has {label_onehot.shape[1]} channels, expected {self.num_classes}"
             )
-        return ContentTensor(conv2d(label_onehot, self.phi, stride=1, pad=0))
+        return conv2d(label_onehot, self.phi, stride=1, pad=0)
 
-    def content_from_labels(self, label: np.ndarray) -> ContentTensor:
+    def content_from_labels(self, label: np.ndarray) -> Tensor:
         """(B,H,W) integer labels at image resolution -> content tensor."""
         small = nn_downsample(label, ENCODER_STRIDE)
         return self.content_from_onehot(Tensor(one_hot(small, self.num_classes)))
 
     def extract_style_content(self, image: Tensor, label: np.ndarray
-                              ) -> tuple[StyleTensors, ContentTensor]:
+                              ) -> tuple[StyleTensors, Tensor]:
         return self.extract_style(image), self.content_from_labels(label)
 
-    def dst_transfer(self, style: StyleTensors, stats: DomainStatistics) -> StyleTensors:
-        """Map source style tensors to the target-styled pair for `stats`."""
+    def dst_transfer(self, style: StyleTensors, stats: list[DomainStatistics]) -> StyleTensors:
+        """Map source style tensors to the target-styled pair for `stats`
+        (one entry for the whole batch or one per sample, as in TAD)."""
         cf = style.gamma.shape[1]
         h = concat_channels([style.gamma, style.beta])
         for block in self.dst_blocks:
@@ -234,7 +229,7 @@ class MtdtModel:
                        stats: DomainStatistics) -> Tensor:
         """Full restyling pipeline: style -> transfer -> compose -> generate."""
         style, content = self.extract_style_content(image, label)
-        moved = self.dst_transfer(style, stats)
+        moved = self.dst_transfer(style, [stats])
         return self.generate(compose(moved, content))
 
     def reconstruct_direct(self, image: Tensor) -> Tensor:
@@ -333,59 +328,52 @@ class LossTerms:
         }
 
 
-def _domain_targets(batch_size: int, k: int) -> np.ndarray:
-    return np.full(batch_size, k, dtype=np.int64)
-
-
 def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualNet,
                 batch: TransferBatch, stats_list: list[DomainStatistics]) -> LossTerms:
-    """Every objective term in one pass.
+    """Every objective term in one pass over all targets.
 
-    The discriminator terms see the restyled images detached, so backward of
-    the discriminator total reaches only discriminator parameters.  Backward
-    of the generator total reaches the generator-side parameters and, through
-    the critic's view of the restyled images, the discriminator parameters
-    too; :func:`train_mtdt` drops those before its critic step.
+    The N target batches are stacked domain-major into one (N*B) batch: rows
+    k*B .. k*B+B-1 belong to target k, are restyled with ``stats_list[k]``
+    and carry domain label k.  The discriminator terms see the restyled
+    images detached, so backward of the discriminator total reaches only
+    discriminator parameters.  Backward of the generator total reaches the
+    generator-side parameters and, through the critic's view of the
+    restyled images, the discriminator parameters too; :func:`train_mtdt`
+    drops those before its critic step.
     """
-    if len(stats_list) != len(batch.target_images):
-        raise ValueError(
-            f"{len(stats_list)} statistics for {len(batch.target_images)} target domains"
-        )
-    if len(stats_list) != disc.num_domains:
-        raise ValueError(
-            f"discriminator expects {disc.num_domains} domains, got {len(stats_list)}"
-        )
+    n = len(stats_list)
+    if n != len(batch.target_images):
+        raise ValueError(f"{n} statistics for {len(batch.target_images)} target domains")
+    if n != disc.num_domains:
+        raise ValueError(f"discriminator expects {disc.num_domains} domains, got {n}")
     b = batch.source_image.shape[0]
+    targets = Tensor(np.concatenate([t.data for t in batch.target_images]))
+    domains = np.repeat(np.arange(n), b)
 
     style, content = model.extract_style_content(batch.source_image, batch.source_label)
     rec = l1_loss(model.reconstruct_direct(batch.source_image), batch.source_image)
     rec = rec + l1_loss(model.generate(compose(style, content)), batch.source_image)
+    # every per-domain term is a mean over B rows, so n * (mean over the N*B
+    # stacked rows) is the sum over domains of the per-domain means
+    rec = rec + n * l1_loss(model.reconstruct_direct(targets), targets)
 
-    per = Tensor(0.0)
-    adv_g = Tensor(0.0)
-    cls_g = Tensor(0.0)
-    adv_d = Tensor(0.0)
-    cls_d = Tensor(0.0)
-    p_src = pnet.features(batch.source_image)
+    # the raw generator output is unbounded; every loss that compares a
+    # restyled image with real (clamped) data sees it squashed to [-1,1]
+    tiled = StyleTensors(repeat_batch(style.gamma, n), repeat_batch(style.beta, n))
+    rows = [stats for stats in stats_list for _ in range(b)]
+    fake = clamp_unit(model.generate(compose(model.dst_transfer(tiled, rows),
+                                             repeat_batch(content, n))))
+    per = n * mse_loss(pnet.features(fake), repeat_batch(pnet.features(batch.source_image), n))
 
-    for k, (target, stats) in enumerate(zip(batch.target_images, stats_list)):
-        rec = rec + l1_loss(model.reconstruct_direct(target), target)
+    patch_fake, dom_fake = disc.forward(fake)
+    adv_g = n * sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
+    cls_g = n * softmax_cross_entropy(dom_fake, domains)
 
-        # the raw generator output is unbounded; every loss that compares a
-        # restyled image with real (clamped) data sees it squashed to [-1,1]
-        fake = clamp_unit(model.generate(compose(model.dst_transfer(style, stats), content)))
-        per = per + mse_loss(pnet.features(fake), p_src)
-
-        patch_fake, dom_fake = disc.forward(fake)
-        adv_g = adv_g + sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
-        cls_g = cls_g + softmax_cross_entropy(dom_fake, _domain_targets(b, k))
-
-        patch_real, dom_real = disc.forward(target)
-        patch_fake_d, _ = disc.forward(fake.detach())
-        adv_d = adv_d + sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
-        adv_d = adv_d + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape))
-        cls_d = cls_d + softmax_cross_entropy(dom_real, _domain_targets(b, k))
-
+    patch_real, dom_real = disc.forward(targets)
+    patch_fake_d, _ = disc.forward(fake.detach())
+    adv_d = n * (sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
+                 + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape)))
+    cls_d = n * softmax_cross_entropy(dom_real, domains)
     return LossTerms(rec=rec, per=per, adv_g=adv_g, cls_g=cls_g, adv_d=adv_d, cls_d=cls_d)
 
 

@@ -12,12 +12,15 @@ import time
 
 import numpy as np
 
-from mtda.autodiff import IGNORE_VALUE, Tensor
+from mtda.autodiff import IGNORE_VALUE, LayerParams, Tensor
 from mtda.bars import class_means, filter_labels, nearest_class
-from mtda.layers import identity_fc
 from mtda.rng import SplitMix64
 from mtda.stats import DomainStatistics, RunningMeanBank, WelfordAccumulator
 from mtda.transfer import tad_forward
+
+
+def identity_fc(dim: int) -> LayerParams:
+    return LayerParams(Tensor(np.eye(dim)), Tensor(np.zeros(dim)))
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -73,7 +76,7 @@ def test_criterion_2_tad_statistic_matching():
                    + rng.normal(1)[0])
         stats = DomainStatistics(mu=rng.normal(c) * 2.0,
                                  sigma=np.abs(rng.normal(c)) + 0.1, n=4)
-        out = tad_forward(x, stats, identity_fc(c), identity_fc(c), eps).data
+        out = tad_forward(x, [stats], identity_fc(c), identity_fc(c), eps).data
         for ch in range(c):
             v = x.data[0, ch].var()
             worst = max(worst, abs(out[0, ch].mean() - stats.mu[ch]))

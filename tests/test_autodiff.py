@@ -51,13 +51,13 @@ def conv_oracle(x, w, b, stride, pad):
 class TestConv2d:
     def test_all_ones_sums_kernel(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
-        p = LayerParams("conv2d", Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
+        p = LayerParams(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
         out = conv2d(x, p, stride=1, pad=0)
         assert out.data.shape == (1, 1, 1, 1)
         assert out.item() == 9.0
 
     def test_one_by_one_affine(self):
-        p = LayerParams("conv1x1", Tensor(np.full((1, 1, 1, 1), 2.0)), Tensor(np.ones(1)))
+        p = LayerParams(Tensor(np.full((1, 1, 1, 1), 2.0)), Tensor(np.ones(1)))
         x = Tensor(np.arange(12.0).reshape(1, 1, 3, 4))
         out = conv2d(x, p)
         np.testing.assert_array_equal(out.data, 2.0 * x.data + 1.0)
@@ -138,21 +138,31 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="3 channels.*expects 4"):
             conv2d(x, p)
 
+    def test_fc_weights_rejected(self):
+        p = LayerParams(Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="4-d"):
+            conv2d(Tensor(np.zeros((1, 3, 4, 4))), p)
+
     def test_kernel_too_large(self):
         x = Tensor(np.zeros((1, 1, 2, 2)))
-        p = LayerParams("conv2d", Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
+        p = LayerParams(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1)))
         with pytest.raises(ShapeError, match="does not fit"):
             conv2d(x, p, stride=1, pad=0)
 
 
 class TestFullyConnected:
     def test_identity(self):
-        p = LayerParams("fc", Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        p = LayerParams(Tensor(np.eye(3)), Tensor(np.zeros(3)))
         v = Tensor(np.array([[1.0, -2.0, 3.0]]))
         np.testing.assert_array_equal(fully_connected(v, p).data, v.data)
 
+    def test_conv_weights_rejected(self):
+        p = LayerParams(Tensor(np.ones((3, 3, 1, 1))), Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="2-d"):
+            fully_connected(Tensor(np.ones((1, 3))), p)
+
     def test_hand_arithmetic(self):
-        p = LayerParams("fc", Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
+        p = LayerParams(Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])),
                         Tensor(np.array([1.0, 1.0])))
         out = fully_connected(Tensor(np.array([[1.0, 1.0]])), p)
         np.testing.assert_array_equal(out.data, [[4.0, 8.0]])

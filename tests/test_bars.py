@@ -149,6 +149,15 @@ class TestNearestClass:
         d2 = ((flat[:, None, :] - cents[None]) ** 2).sum(axis=2)
         assert (got.ravel() == np.argmin(d2 + 7.5, axis=1)).all()  # argmin invariance
 
+    def test_batch_matches_one_call_per_image(self):
+        rng = SplitMix64(7)
+        bank = self.bank_with([rng.normal(4) for _ in range(3)] + [None])
+        f = rng.normal(3 * 4 * 5 * 6).reshape(3, 4, 5, 6)
+        got = nearest_class(f, bank)
+        assert got.shape == (3, 5, 6)
+        for b in range(3):
+            assert (got[b] == nearest_class(f[b], bank)).all()
+
     def test_empty_bank_raises(self):
         with pytest.raises(ValueError, match="no initialized class"):
             nearest_class(np.zeros((2, 2, 2)), RunningMeanBank(3, 2))

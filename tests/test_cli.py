@@ -46,6 +46,15 @@ def test_wrong_num_classes_fails_before_any_artifact(tmp_path):
     assert not out.exists()
 
 
+def test_adam_beta_of_one_fails_before_any_artifact(tmp_path):
+    out = tmp_path / "run"
+    path = tmp_path / "config.txt"
+    save_config(ExperimentConfig(mtdt_beta1=1.0, train_scenes=6, eval_scenes=2,
+                                 out_dir=str(out)), path)
+    assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_missing_prerequisite_is_runtime_error(mini_cfg):
     cfg, path = mini_cfg
     assert main(["transfer", "--config", path]) == EXIT_RUNTIME

@@ -74,6 +74,14 @@ def test_validation_bounds():
         ExperimentConfig(targets=()).validate()
 
 
+@pytest.mark.parametrize("name", ["mtdt_beta1", "mtdt_beta2"])
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+def test_adam_betas_must_be_below_one(name, beta):
+    # beta1 = 1 turns every parameter into NaN on the first Adam step
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig(**{name: beta}).validate()
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/nonexistent/config.txt")

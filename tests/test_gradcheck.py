@@ -13,7 +13,8 @@ def test_registry_covers_each_op_once():
     for expected in ["conv2d", "fully_connected", "instance_norm", "relu",
                      "l1_loss", "mse_loss", "softmax_cross_entropy",
                      "sigmoid_bce_with_logits", "tad", "dst_block", "task_net",
-                     "conv2d_stride1_pad1", "conv2d_1x1", "conv2d_frozen_weights"]:
+                     "conv2d_stride1_pad1", "conv2d_1x1", "conv2d_frozen_weights",
+                     "repeat_batch"]:
         assert expected in names
 
 

@@ -24,6 +24,10 @@ def quiet_spec(name="flat", mean=(0.0, 0.0, 0.0), offsets=None):
                       noise_amplitude=0.0, class_offsets=offsets)
 
 
+def class_color(spec, c):
+    return np.asarray(spec.color_mean) + np.asarray(spec.class_offsets[c])
+
+
 class TestGenerate:
     def test_deterministic_bitwise(self):
         a = generate(DEFAULT_SOURCE, seed=9, count=5, h=32, w=32)
@@ -54,7 +58,7 @@ class TestGenerate:
         for s in scenes:
             for c in range(NUM_CLASSES):
                 area = (s.label == c).sum()
-                want += area * spec.class_color(c)
+                want += area * class_color(spec, c)
                 per_pixel += area
         want /= per_pixel
         np.testing.assert_allclose(got, want, atol=1e-10)

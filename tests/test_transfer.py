@@ -6,8 +6,19 @@ import gc
 import numpy as np
 import pytest
 
-from mtda.autodiff import ShapeError, Tape, Tensor, instance_norm
-from mtda.layers import ParamGroup, identity_fc
+from mtda.autodiff import (
+    LayerParams,
+    ShapeError,
+    Tape,
+    Tensor,
+    clamp_unit,
+    instance_norm,
+    l1_loss,
+    mse_loss,
+    sigmoid_bce_with_logits,
+    softmax_cross_entropy,
+)
+from mtda.layers import ParamGroup
 from mtda.optim import Adam
 from mtda.rng import SplitMix64
 from mtda.stats import DomainStatistics
@@ -15,7 +26,7 @@ from mtda.tensorio import read_archive
 from mtda.toydata import generate, DEFAULT_SOURCE, DEFAULT_TARGETS
 from mtda.transfer import (
     DISC_LR_FACTOR,
-    ContentTensor,
+    LossTerms,
     MtdtModel,
     MultiHeadDiscriminator,
     PerceptualNet,
@@ -29,6 +40,10 @@ from mtda.transfer import (
 )
 
 
+def identity_fc(dim):
+    return LayerParams(Tensor(np.eye(dim)), Tensor(np.zeros(dim)))
+
+
 def rand_stats(rng, c):
     return DomainStatistics(mu=rng.normal(c), sigma=np.abs(rng.normal(c)) + 0.3, n=5)
 
@@ -39,13 +54,13 @@ class TestCompose:
         c = Tensor(rng.normal(2 * 3 * 4 * 4).reshape(2, 3, 4, 4))
         style = StyleTensors(gamma=Tensor(np.ones((2, 3, 4, 4))),
                              beta=Tensor(np.zeros((2, 3, 4, 4))))
-        np.testing.assert_array_equal(compose(style, ContentTensor(c)).data, c.data)
+        np.testing.assert_array_equal(compose(style, c).data, c.data)
 
     def test_zero_gamma_gives_beta(self):
         rng = SplitMix64(2)
         beta = rng.normal(48).reshape(1, 3, 4, 4)
         style = StyleTensors(gamma=Tensor(np.zeros((1, 3, 4, 4))), beta=Tensor(beta))
-        out = compose(style, ContentTensor(Tensor(rng.normal(48).reshape(1, 3, 4, 4))))
+        out = compose(style, Tensor(rng.normal(48).reshape(1, 3, 4, 4)))
         np.testing.assert_array_equal(out.data, beta)
 
     def test_algebraic_identity_gamma2_beta_minus_c(self):
@@ -53,18 +68,18 @@ class TestCompose:
         c = rng.normal(48).reshape(1, 3, 4, 4)
         style = StyleTensors(gamma=Tensor(np.full((1, 3, 4, 4), 2.0)), beta=Tensor(-c))
         np.testing.assert_allclose(
-            compose(style, ContentTensor(Tensor(c))).data, c, atol=1e-15)
+            compose(style, Tensor(c)).data, c, atol=1e-15)
 
     def test_matches_elementwise_oracle(self):
         rng = SplitMix64(4)
         g, b, c = (rng.normal(48).reshape(1, 3, 4, 4) for _ in range(3))
-        out = compose(StyleTensors(Tensor(g), Tensor(b)), ContentTensor(Tensor(c))).data
+        out = compose(StyleTensors(Tensor(g), Tensor(b)), Tensor(c)).data
         assert np.abs(out - (g * c + b)).max() < 1e-12
 
     def test_shape_mismatch(self):
         style = StyleTensors(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 3, 4, 4))))
         with pytest.raises(ShapeError):
-            compose(style, ContentTensor(Tensor(np.zeros((1, 3, 2, 2)))))
+            compose(style, Tensor(np.zeros((1, 3, 2, 2))))
 
 
 class TestTad:
@@ -74,7 +89,7 @@ class TestTad:
         c = 6
         x = Tensor(rng.normal(1 * c * 8 * 8).reshape(1, c, 8, 8) * 2.0 + 0.5)
         stats = rand_stats(rng, c)
-        out = tad_forward(x, stats, identity_fc(c), identity_fc(c), eps).data
+        out = tad_forward(x, [stats], identity_fc(c), identity_fc(c), eps).data
         for ch in range(c):
             v = x.data[0, ch].var()
             assert abs(out[0, ch].mean() - stats.mu[ch]) < 1e-8
@@ -86,7 +101,7 @@ class TestTad:
         c = 4
         x = Tensor(rng.normal(1 * c * 5 * 5).reshape(1, c, 5, 5))
         stats = DomainStatistics(mu=np.zeros(c), sigma=np.ones(c), n=3)
-        out = tad_forward(x, stats, identity_fc(c), identity_fc(c)).data
+        out = tad_forward(x, [stats], identity_fc(c), identity_fc(c)).data
         fhat = instance_norm(x, 1e-5).data
         assert np.abs(out - fhat).max() < 1e-12
 
@@ -99,7 +114,7 @@ class TestTad:
         stats = rand_stats(rng, c)
         fs = fc_params(rng, c, c)
         fb = fc_params(rng, c, c)
-        got = tad_forward(x, stats, fs, fb).data
+        got = tad_forward(x, [stats], fs, fb).data
         scale = fs.weights.data @ stats.sigma + fs.bias.data
         bias = fb.weights.data @ stats.mu + fb.bias.data
         want = instance_norm(x, 1e-5).data * scale[None, :, None, None] + bias[None, :, None, None]
@@ -109,7 +124,27 @@ class TestTad:
         x = Tensor(np.zeros((1, 4, 3, 3)))
         stats = DomainStatistics(mu=np.zeros(3), sigma=np.ones(3), n=2)
         with pytest.raises(ShapeError):
-            tad_forward(x, stats, identity_fc(4), identity_fc(4))
+            tad_forward(x, [stats], identity_fc(4), identity_fc(4))
+
+    def test_per_sample_statistics_match_one_call_per_sample(self):
+        rng = SplitMix64(12)
+        from mtda.layers import fc_params
+
+        c = 3
+        x = Tensor(rng.normal(2 * c * 4 * 4).reshape(2, c, 4, 4))
+        s1, s2 = rand_stats(rng, c), rand_stats(rng, c)
+        fs, fb = fc_params(rng, c, c), fc_params(rng, c, c)
+        got = tad_forward(x, [s1, s2], fs, fb).data
+        for i, stats in enumerate((s1, s2)):
+            want = tad_forward(Tensor(x.data[i : i + 1]), [stats], fs, fb).data
+            np.testing.assert_allclose(got[i : i + 1], want, rtol=1e-14, atol=1e-14)
+
+    def test_statistics_count_must_be_one_or_batch(self):
+        rng = SplitMix64(13)
+        x = Tensor(np.zeros((2, 3, 4, 4)))
+        with pytest.raises(ShapeError):
+            tad_forward(x, [rand_stats(rng, 3) for _ in range(3)],
+                        identity_fc(3), identity_fc(3))
 
 
 class TestDstBlock:
@@ -128,7 +163,7 @@ class TestDstBlock:
             fc.bias.data = np.zeros(c)
         stats = rand_stats(rng, c)
         x = Tensor(rng.normal(1 * c * 6 * 6).reshape(1, c, 6, 6))
-        out = block.forward(x, stats).data
+        out = block.forward(x, [stats]).data
         want = x.data + stats.mu[None, :, None, None]  # second TAD bias via dead conv path
         np.testing.assert_allclose(out, want, atol=1e-12)
 
@@ -166,13 +201,13 @@ class TestModel:
 
     def test_style_content_shapes_agree(self):
         style, content = self.model.extract_style_content(self.image, self.labels)
-        assert style.gamma.shape == style.beta.shape == content.c.shape == (2, 32, 8, 8)
+        assert style.gamma.shape == style.beta.shape == content.shape == (2, 32, 8, 8)
 
     def test_zero_phi_weights_content_is_bias(self):
         self.model.phi.weights.data[:] = 0.0
         content = self.model.content_from_labels(self.labels)
         want = np.broadcast_to(self.model.phi.bias.data[None, :, None, None], (2, 32, 8, 8))
-        np.testing.assert_allclose(content.c.data, want, atol=1e-15)
+        np.testing.assert_allclose(content.data, want, atol=1e-15)
 
     def test_label_channel_mismatch(self):
         bad = Tensor(np.zeros((2, 7, 8, 8)))
@@ -191,6 +226,90 @@ class TestModel:
         assert len(names) == len(set(names))
         # same inventory no matter how many domains the run uses
         assert names == [n for n, _ in MtdtModel(4, SplitMix64(20)).params.named()]
+
+
+def looped_losses(model, disc, pnet, batch, stats_list):
+    """The one-pass-per-target form of the objective: the oracle that the
+    stacked (N*B) batch of ``mtdt_losses`` must reproduce."""
+    b = batch.source_image.shape[0]
+    style, content = model.extract_style_content(batch.source_image, batch.source_label)
+    rec = l1_loss(model.reconstruct_direct(batch.source_image), batch.source_image)
+    rec = rec + l1_loss(model.generate(compose(style, content)), batch.source_image)
+    per = adv_g = cls_g = adv_d = cls_d = Tensor(0.0)
+    p_src = pnet.features(batch.source_image)
+    for k, (target, stats) in enumerate(zip(batch.target_images, stats_list)):
+        domain = np.full(b, k)
+        rec = rec + l1_loss(model.reconstruct_direct(target), target)
+        fake = clamp_unit(model.generate(compose(model.dst_transfer(style, [stats]), content)))
+        per = per + mse_loss(pnet.features(fake), p_src)
+        patch_fake, dom_fake = disc.forward(fake)
+        adv_g = adv_g + sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
+        cls_g = cls_g + softmax_cross_entropy(dom_fake, domain)
+        patch_real, dom_real = disc.forward(target)
+        patch_fake_d, _ = disc.forward(fake.detach())
+        adv_d = adv_d + sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
+        adv_d = adv_d + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape))
+        cls_d = cls_d + softmax_cross_entropy(dom_real, domain)
+    return LossTerms(rec=rec, per=per, adv_g=adv_g, cls_g=cls_g, adv_d=adv_d, cls_d=cls_d)
+
+
+def loss_setup(n):
+    """Model, critic, perceptual net, a 2-image batch with n targets, n statistics."""
+    seed = SplitMix64(40)
+    src = generate(DEFAULT_SOURCE, seed=1, count=2, h=32, w=32)
+    targets = [generate(DEFAULT_TARGETS[k % len(DEFAULT_TARGETS)], seed=2 + k, count=2,
+                        h=32, w=32) for k in range(n)]
+    batch = TransferBatch(
+        source_image=Tensor(np.stack([s.image for s in src])),
+        source_label=np.stack([s.label for s in src]),
+        target_images=[Tensor(np.stack([s.image for s in t])) for t in targets],
+    )
+    rng = SplitMix64(41)
+    return (MtdtModel(4, seed.derive("m")), MultiHeadDiscriminator(n, seed.derive("d")),
+            PerceptualNet(3), batch, [rand_stats(rng, 32) for _ in range(n)])
+
+
+class TestStackedTargets:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_terms_and_gradients_match_the_looped_oracle(self, n):
+        model, disc, pnet, batch, stats = loss_setup(n)
+        params = model.params.named() + disc.params.named()
+        results = {}
+        for name, fn in (("stacked", mtdt_losses), ("looped", looped_losses)):
+            grads = {}
+            for side in ("generator_total", "discriminator_total"):
+                with Tape() as tape:
+                    terms = fn(model, disc, pnet, batch, stats)
+                    loss = getattr(terms, side)
+                model.params.zero_grad()
+                disc.params.zero_grad()
+                tape.backward(loss)
+                grads[side] = {p: t.grad for p, t in params}
+            results[name] = (terms.breakdown(), grads)
+        model.params.zero_grad()
+        disc.params.zero_grad()
+
+        (got, got_grads), (want, want_grads) = results["stacked"], results["looped"]
+        for term in ("rec", "per", "adv_g", "cls_g", "adv_d", "cls_d"):
+            assert got[term] == pytest.approx(want[term], rel=1e-12, abs=0.0), term
+        # the absolute floor is for gradients that are zero in exact arithmetic,
+        # a bias in front of an instance norm: they hold only rounding noise
+        for side, grads in want_grads.items():
+            for p, g in grads.items():
+                if g is None:
+                    assert got_grads[side][p] is None, (side, p)
+                else:
+                    np.testing.assert_allclose(got_grads[side][p], g, rtol=1e-9, atol=1e-15,
+                                               err_msg=f"{side} {p}")
+
+    def test_tape_length_does_not_grow_with_targets(self):
+        lengths = []
+        for n in (1, 2, 3):
+            model, disc, pnet, batch, stats = loss_setup(n)
+            with Tape() as tape:
+                mtdt_losses(model, disc, pnet, batch, stats)
+            lengths.append(len(tape._records))
+        assert lengths[0] == lengths[1] == lengths[2], lengths
 
 
 class TestLossStack:
