@@ -5,9 +5,11 @@ fully-connected, instance normalization, ReLU, the loss functions, and a
 handful of structural ops (concat/slice on channels, nearest upsampling,
 channel-wise affine modulation, global average pooling, batch tiling).
 Each op computes its forward value with numpy and, when a :class:`Tape` is
-active, records a vector-Jacobian closure.  ``Tape.backward`` replays the
-records in exact reverse execution order and accumulates gradients on every
-participating tensor that has ``requires_grad`` set.
+active, records a vector-Jacobian closure.  ``Tape.backward(loss, wrt)``
+replays the records in exact reverse execution order and returns the
+gradient of ``loss`` with respect to each leaf tensor in ``wrt``; gradients
+are return values, never state on a tensor, so two losses on one tape are
+differentiated independently and no step needs zeroing first.
 
 No broadcasting beyond what these ops need, no views escape into user code,
 and every op is deterministic for identical inputs.
@@ -39,17 +41,18 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Raised when backward() is asked about a value the tape never saw."""
+    """Raised when backward() gets a loss this tape never recorded, or is asked
+    for the gradient of a value it did record rather than of a leaf."""
 
 
 class Tensor:
-    """N-dimensional float64 array with optional gradient slot."""
+    """N-dimensional float64 array; ``requires_grad`` marks a leaf whose
+    gradient ``Tape.backward`` may be asked for."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "_node")
+    __slots__ = ("data", "requires_grad", "_tape", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._tape: int | None = None  # id of the tape that recorded it
         self._node: int = -1
@@ -62,9 +65,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
@@ -122,40 +122,35 @@ class Tape:
         out._node = len(self._records)
         self._records.append((out, inputs, vjp))
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into t.grad for every recorded tensor.
+    def backward(self, loss: Tensor, wrt: list[Tensor]) -> list[np.ndarray | None]:
+        """d(loss)/d(t) for every leaf t in ``wrt``, as a list aligned with it.
 
-        Repeated calls keep accumulating, so the gradient of a sum of losses
-        can equally be obtained by one backward per term.
+        An entry is None where the loss does not depend on t or t does not
+        have ``requires_grad`` set.  Nothing is stored on any tensor, so
+        several losses recorded on one tape can each be asked for their own
+        gradients, in any order, without interfering.  The arrays are fresh
+        for each call but may share memory with one another (both inputs of
+        an ``add`` receive the same array), so treat them as read-only.
         """
         if loss._tape != self._id:
             raise TapeError("loss tensor was not produced on this tape")
         if loss.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {loss.shape}")
+        if any(t._tape == self._id for t in wrt):
+            raise TapeError("wrt holds a tensor recorded on this tape; ask for leaves only")
 
         pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
         for out, inputs, vjp in reversed(self._records[: loss._node + 1]):
             g = pending.pop(id(out), None)
-            holders.pop(id(out), None)
             if g is None:
                 continue
-            if out.requires_grad:
-                _add_grad(out, g)
             for t, gi in zip(inputs, vjp(g)):
                 if gi is None:
                     continue
                 key = id(t)
-                if key in pending:
-                    pending[key] = pending[key] + gi
-                else:
-                    pending[key] = gi
-                    holders[key] = t
+                pending[key] = pending[key] + gi if key in pending else gi
         # whatever is left never came off a record: leaf inputs and parameters
-        for key, g in pending.items():
-            t = holders[key]
-            if t.requires_grad:
-                _add_grad(t, g)
+        return [pending.get(id(t)) if t.requires_grad else None for t in wrt]
 
 
 _TAPE_STACK: list[Tape] = []
@@ -164,14 +159,6 @@ _TAPE_IDS = itertools.count()
 
 def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
-def _add_grad(t: Tensor, g: np.ndarray) -> None:
-    g = np.broadcast_to(g, t.data.shape)
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad = t.grad + g
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -196,10 +183,6 @@ class LayerParams:
             )
         self.weights = weights
         self.bias = bias
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +280,16 @@ def fully_connected(v: Tensor, p: LayerParams) -> Tensor:
         raise ShapeError(f"fully_connected weights must be 2-d, got {p.weights.shape}")
     if v.data.ndim != 2:
         raise ShapeError(f"fully_connected input must be (B,D), got {v.shape}")
-    if v.shape[1] != p.in_dim:
-        raise ShapeError(f"fully_connected: input dim {v.shape[1]} != weight in_dim {p.in_dim}")
+    if v.shape[1] != p.weights.shape[1]:
+        raise ShapeError(
+            f"fully_connected: input dim {v.shape[1]} != weight in_dim {p.weights.shape[1]}")
     w, b = p.weights, p.bias
-    out = v.data @ w.data.T + b.data[None, :]
+    # the arrays, not the tensors: a step between two backwards rebinds w.data
+    wd, vd = w.data, v.data
+    out = vd @ wd.T + b.data[None, :]
 
     def vjp(g: np.ndarray):
-        return g @ w.data, g.T @ v.data, g.sum(axis=0)
+        return g @ wd, g.T @ vd, g.sum(axis=0)
 
     return _emit(out, (v, w, b), vjp)
 

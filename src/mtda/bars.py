@@ -199,10 +199,7 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
             n_kept += (bars_tgt != IGNORE_VALUE).sum()
         skipped = n_kept == 0
         if not skipped:
-            net.params.zero_grad()
-            tape.backward(loss)
-            optimizer.step(net.params.named())
-            net.params.zero_grad()
+            optimizer.step(net.params.named(), tape.backward(loss, net.params.tensors()))
 
     # centroid updates after the step; the switch picks raw vs filtered labels
     use_filtered = state.iteration >= state.switch_iteration

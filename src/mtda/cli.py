@@ -97,7 +97,7 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
     if command == "stats":
         model, _, _ = pl.init_models(cfg)
         _, metrics = pl.phase_stats(cfg, model, data, out_dir)
-        for name in cfg.targets:
+        for name in data.target_names:
             print(f"[stats] wrote {pl.stats_path(out_dir, name)} ({metrics[name]['n']} updates)")
         return EXIT_OK
     if command == "train-mtdt":
@@ -114,7 +114,7 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
         model, _ = pl.load_mtdt(cfg, out_dir)
         stats_list = pl.load_stats(cfg, out_dir)
         transferred = pl.phase_transfer(cfg, model, data, stats_list, out_dir)
-        for name, scenes in zip(cfg.targets, transferred):
+        for name, scenes in zip(data.target_names, transferred):
             print(f"[transfer] {name}: {len(scenes)} scenes -> {out_dir / 'transfers' / name}")
         return EXIT_OK
     if command == "adapt":

@@ -19,6 +19,12 @@ class ConfigError(ValueError):
     """Malformed or invalid experiment configuration."""
 
 
+def domain_name(domain: str) -> str:
+    """The name a target domain's artifacts and record keys carry: a builtin
+    name as is, a dataset directory by its last path component."""
+    return Path(domain).name
+
+
 @dataclass
 class ExperimentConfig:
     # experiment
@@ -64,10 +70,17 @@ class ExperimentConfig:
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.stats_updates == 1:
+            raise ConfigError("stats_updates must be 0 (one pass) or >= 2: "
+                              "a variance needs at least 2 updates")
         if self.image_size < 16 or self.image_size % 4:
             raise ConfigError(f"image_size must be >= 16 and divisible by 4, got {self.image_size}")
         if not self.targets:
             raise ConfigError("at least one target domain is required")
+        names = [domain_name(t) for t in self.targets]
+        if {"", ".."} & set(names) or len(set(names)) < len(names):
+            raise ConfigError(f"target domains need distinct names (the last path "
+                              f"component of a dataset dir), got {names}")
         if self.train_scenes < 2 or self.eval_scenes < 1:
             raise ConfigError("need at least 2 train and 1 eval scenes")
         if self.mtdt_batch < 1 or self.task_batch < 1:

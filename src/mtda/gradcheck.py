@@ -87,13 +87,11 @@ def check_op(name: str, build: Callable[[SplitMix64], tuple[Callable[[], Tensor]
         loss_fn, targets = build(SplitMix64(seed).derive(name))
         with Tape() as tape:
             loss = loss_fn()
-        for t in targets:
-            t.zero_grad()
-        tape.backward(loss)
+        grads = tape.backward(loss, targets)
         pick = SplitMix64(seed).derive(name, "subset")
         f = lambda: loss_fn().item()
-        for t in targets:
-            analytic = (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1)
+        for t, g in zip(targets, grads):
+            analytic = (g if g is not None else np.zeros_like(t.data)).reshape(-1)
             flat = t.data.reshape(-1)
             if flat.size > max_elements:
                 indices = sorted({pick.randint(flat.size) for _ in range(max_elements)})

@@ -46,10 +46,6 @@ class ParamGroup:
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self._items]
 
-    def zero_grad(self) -> None:
-        for _, t in self._items:
-            t.zero_grad()
-
     def state_arrays(self) -> dict:
         return {name: t.data.copy() for name, t in self._items}
 

@@ -1,5 +1,11 @@
 """Momentum SGD and Adam with L2 weight decay as an additive gradient term.
 
+``step(named_params, grads)`` takes the gradients as an argument, aligned
+with ``named_params`` as ``Tape.backward(loss, tensors)`` returns them; a
+None entry (the loss does not reach that parameter) leaves the parameter
+and its optimizer state untouched.  A length mismatch raises ValueError
+before anything is updated.
+
 Update rules (per parameter, decay applied first as g <- g + wd * p):
 
     SGD:   v <- momentum * v + g;          p <- p - lr * v
@@ -23,11 +29,11 @@ class SgdMomentum:
     weight_decay: float = 0.0
     _velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def step(self, named_params: list[tuple[str, Tensor]]) -> None:
-        for name, p in named_params:
-            if p.grad is None:
+    def step(self, named_params: list[tuple[str, Tensor]],
+             grads: list[np.ndarray | None]) -> None:
+        for (name, p), g in list(zip(named_params, grads, strict=True)):
+            if g is None:
                 continue
-            g = p.grad
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             if self.momentum:
@@ -50,14 +56,15 @@ class Adam:
     _m: dict[str, np.ndarray] = field(default_factory=dict)
     _s: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def step(self, named_params: list[tuple[str, Tensor]]) -> None:
+    def step(self, named_params: list[tuple[str, Tensor]],
+             grads: list[np.ndarray | None]) -> None:
+        pairs = list(zip(named_params, grads, strict=True))
         self._t += 1
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
-        for name, p in named_params:
-            if p.grad is None:
+        for (name, p), g in pairs:
+            if g is None:
                 continue
-            g = p.grad
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             m = self._m.get(name, 0.0)

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, softmax_cross_entropy
+from .autodiff import IGNORE_VALUE, Tape, Tensor, softmax_cross_entropy
 from .bars import BarsState, bars_step
-from .config import ExperimentConfig, config_hash, save_config
+from .config import ExperimentConfig, config_hash, domain_name, save_config
 from .metrics import ConfusionMatrix, miou, write_iou_report
 from .optim import SgdMomentum
 from .rng import SplitMix64
@@ -107,10 +107,17 @@ def build_datasets(cfg: ExperimentConfig) -> Datasets:
                     f"dataset {src} has {len(scenes)} scenes, need "
                     f"{cfg.train_scenes + cfg.eval_scenes}"
                 )
-            return (scenes[: cfg.train_scenes],
-                    scenes[cfg.train_scenes : cfg.train_scenes + cfg.eval_scenes])
-        return (generate(src, cfg.seed, cfg.train_scenes, h, w),
-                generate(src, eval_seed, cfg.eval_scenes, h, w))
+            tr, ev = (scenes[: cfg.train_scenes],
+                      scenes[cfg.train_scenes : cfg.train_scenes + cfg.eval_scenes])
+        else:
+            tr, ev = (generate(src, cfg.seed, cfg.train_scenes, h, w),
+                      generate(src, eval_seed, cfg.eval_scenes, h, w))
+        labels = np.concatenate([s.label.ravel() for s in tr + ev])
+        bad = labels[(labels != IGNORE_VALUE) & ((labels < 0) | (labels >= cfg.num_classes))]
+        if bad.size:
+            raise ValueError(f"dataset {name} has labels {np.unique(bad).tolist()} outside "
+                             f"[0,{cfg.num_classes}) and != ignore {IGNORE_VALUE}")
+        return tr, ev
 
     source_train, source_eval = splits(cfg.source)
     targets_train, targets_eval = [], []
@@ -120,7 +127,7 @@ def build_datasets(cfg: ExperimentConfig) -> Datasets:
         targets_eval.append(ev)
     return Datasets(
         source_name=cfg.source,
-        target_names=list(cfg.targets),
+        target_names=[domain_name(t) for t in cfg.targets],
         source_train=source_train,
         source_eval=source_eval,
         targets_train=targets_train,
@@ -142,8 +149,9 @@ def _stack(scenes: list[ToyScene], idx) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def stats_path(out_dir: Path, domain: str) -> Path:
-    return out_dir / f"stats_{domain}.bin"
+def stats_path(out_dir: Path, name: str) -> Path:
+    """Statistics checkpoint of the target domain whose :func:`domain_name` is name."""
+    return out_dir / f"stats_{name}.bin"
 
 
 def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
@@ -173,7 +181,7 @@ def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
 
 def load_stats(cfg: ExperimentConfig, out_dir: Path) -> list[DomainStatistics]:
     stats_list = []
-    for name in cfg.targets:
+    for name in map(domain_name, cfg.targets):
         path = stats_path(out_dir, name)
         if not path.is_file():
             raise FileNotFoundError(f"missing statistics checkpoint {path}; run 'stats' first")
@@ -265,7 +273,7 @@ def phase_transfer(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
 
 def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[list[ToyScene]]:
     transferred = []
-    for name in cfg.targets:
+    for name in map(domain_name, cfg.targets):
         d = out_dir / "transfers" / name
         if not (d / "manifest.txt").is_file():
             raise FileNotFoundError(f"missing transferred dataset {d}; run 'transfer' first")
@@ -448,10 +456,7 @@ def run_source_only_baseline(cfg: ExperimentConfig,
         with Tape() as tape:
             logits, _ = net.forward(Tensor(images))
             loss = softmax_cross_entropy(logits, labels)
-        net.params.zero_grad()
-        tape.backward(loss)
-        opt.step(net.params.named())
-        net.params.zero_grad()
+        opt.step(net.params.named(), tape.backward(loss, net.params.tensors()))
     results = {}
     for name, scenes in zip(data.target_names, data.targets_eval):
         _, _, mean = evaluate_net(net, scenes, cfg.num_classes)

@@ -25,9 +25,9 @@ at once: the N target batches are stacked domain-major into one (N*B)
 batch, the source style and content are tiled N times to match, and TAD
 reads one statistics row per sample, so one restyle, one perceptual and
 three critic passes serve every target.  A training iteration records that
-pass on one tape and runs backward twice on it: once from the generator
-total for the generator step, once from the critic total for the critic
-step.
+pass on one tape and asks it twice for gradients: the generator total's
+with respect to the generator parameters, then the critic total's with
+respect to the critic parameters.
 """
 
 from __future__ import annotations
@@ -335,11 +335,11 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     The N target batches are stacked domain-major into one (N*B) batch: rows
     k*B .. k*B+B-1 belong to target k, are restyled with ``stats_list[k]``
     and carry domain label k.  The discriminator terms see the restyled
-    images detached, so backward of the discriminator total reaches only
-    discriminator parameters.  Backward of the generator total reaches the
+    images detached, so the discriminator total depends only on
+    discriminator parameters.  The generator total depends on the
     generator-side parameters and, through the critic's view of the
-    restyled images, the discriminator parameters too; :func:`train_mtdt`
-    drops those before its critic step.
+    restyled images, on the discriminator parameters too; :func:`train_mtdt`
+    asks each total only for its own side's gradients.
     """
     n = len(stats_list)
     if n != len(batch.target_images):
@@ -388,11 +388,13 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     """Alternating generator/discriminator optimization.
 
     ``sample_batch(i)`` must return the iteration's :class:`TransferBatch`.
-    Each iteration records :func:`mtdt_losses` on one tape.  Backward of the
-    generator total drives the generator step; its gradients on the critic
-    are then dropped, and backward of the discriminator total, which sees
-    the restyled images detached and the critic's weights from before either
-    step, drives the critic step.  The critic runs on a faster timescale
+    Each iteration records :func:`mtdt_losses` on one tape and asks it for
+    two gradients: the generator total's with respect to the generator
+    parameters only, which drives the generator step, and the critic
+    total's with respect to the critic parameters only, which drives the
+    critic step.  Both come from the one recorded pass, so the critic step
+    sees the restyled images detached and the critic's weights from before
+    either step.  The critic runs on a faster timescale
     (DISC_LR_FACTOR x the generator rate): with one step each per iteration
     and a shared rate, the much larger generator tracks the critic's
     boundary and pins it at chance, and the restyled branch then collapses.
@@ -404,8 +406,8 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     adam_g = Adam(lr=lr, beta1=beta1, beta2=beta2, weight_decay=weight_decay)
     adam_d = Adam(lr=lr * DISC_LR_FACTOR, beta1=beta1, beta2=beta2,
                   weight_decay=weight_decay)
-    gen_named = model.params.named()
-    disc_named = disc.params.named()
+    gen_named, gen_tensors = model.params.named(), model.params.tensors()
+    disc_named, disc_tensors = disc.params.named(), disc.params.tensors()
     log: list[dict] = []
 
     for i in range(iterations):
@@ -413,14 +415,8 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
             terms = mtdt_losses(model, disc, pnet, sample_batch(i), stats_list)
             loss_g = terms.generator_total
             loss_d = terms.discriminator_total
-        model.params.zero_grad()
-        tape.backward(loss_g)
-        adam_g.step(gen_named)
-        disc.params.zero_grad()
-        tape.backward(loss_d)
-        adam_d.step(disc_named)
-        model.params.zero_grad()
-        disc.params.zero_grad()
+        adam_g.step(gen_named, tape.backward(loss_g, gen_tensors))
+        adam_d.step(disc_named, tape.backward(loss_d, disc_tensors))
 
         record = {"iteration": i, **terms.breakdown()}
         if not all(np.isfinite(v) for v in record.values()):

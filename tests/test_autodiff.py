@@ -97,7 +97,7 @@ class TestConv2d:
             y = conv2d(xt, p, stride=stride, pad=1)
             r = SplitMix64(23).normal(y.data.size).reshape(y.shape)
             loss = tensor_sum(y * Tensor(r))
-        tape.backward(loss)
+        dx, dw, db = tape.backward(loss, [xt, p.weights, p.bias])
 
         win = np.lib.stride_tricks.sliding_window_view(
             np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3), axis=(2, 3))
@@ -105,9 +105,9 @@ class TestConv2d:
         assert np.abs(y.data - b[None, :, None, None] - want).max() < 1e-12
         # conv is linear in x and in w, so <y - b, r> = <x, dx> = <w, dw>
         lin = ((y.data - b[None, :, None, None]) * r).sum()
-        assert (x * xt.grad).sum() == pytest.approx(lin, rel=1e-12)
-        assert (w * p.weights.grad).sum() == pytest.approx(lin, rel=1e-12)
-        np.testing.assert_allclose(p.bias.grad, r.sum(axis=(0, 2, 3)), rtol=1e-12)
+        assert (x * dx).sum() == pytest.approx(lin, rel=1e-12)
+        assert (w * dw).sum() == pytest.approx(lin, rel=1e-12)
+        np.testing.assert_allclose(db, r.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_frozen_weights_skip_dw_and_keep_dx(self):
         rng = SplitMix64(13)
@@ -121,10 +121,10 @@ class TestConv2d:
             with Tape() as tape:
                 y = conv2d(xt, p, stride=2, pad=1)
                 loss = tensor_sum(y * Tensor(r))
-            tape.backward(loss)
+            grads = tape.backward(loss, [xt, p.weights, p.bias])
             _, _, conv_vjp = tape._records[y._node]
             assert (conv_vjp(r)[1] is None) == (not weights_trainable)
-            return xt.grad, p.weights.grad, p.bias.grad
+            return grads
 
         dx, dw, db = grads(True)
         dx_f, dw_f, db_f = grads(False)
@@ -245,8 +245,8 @@ class TestLosses:
         with Tape() as tape:
             loss = softmax_cross_entropy(pred, labels)
         assert loss.item() == 0.0
-        tape.backward(loss)
-        np.testing.assert_array_equal(pred.grad, np.zeros_like(pred.data))
+        [grad] = tape.backward(loss, [pred])
+        np.testing.assert_array_equal(grad, np.zeros_like(pred.data))
 
     def test_cross_entropy_rejects_out_of_range_label(self):
         pred = Tensor(np.zeros((1, 3, 1, 1)))
@@ -281,8 +281,8 @@ class TestBackward:
         x = Tensor(np.random.rand(3, 4), requires_grad=True)
         with Tape() as tape:
             loss = tensor_sum(x)
-        tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
+        [grad] = tape.backward(loss, [x])
+        np.testing.assert_array_equal(grad, np.ones((3, 4)))
 
     def test_l1_sign_rule(self):
         # loss = l1(a*x + b, 0) with positive a*x + b has d/dx = a
@@ -290,8 +290,8 @@ class TestBackward:
         x = Tensor(np.array([2.0]), requires_grad=True)
         with Tape() as tape:
             loss = l1_loss(x * a + b0, Tensor(np.zeros(1)))
-        tape.backward(loss)
-        assert x.grad[0] == pytest.approx(a)
+        [grad] = tape.backward(loss, [x])
+        assert grad[0] == pytest.approx(a)
 
     def test_gradient_of_sum_equals_sum_of_gradients(self):
         rng = SplitMix64(8)
@@ -300,16 +300,68 @@ class TestBackward:
         t2 = Tensor(rng.normal(8).reshape(2, 4))
         with Tape() as tape:
             total = mse_loss(x, t1) + mse_loss(x, t2)
-        tape.backward(total)
-        g_total = x.grad.copy()
+        [g_total] = tape.backward(total, [x])
 
-        x.zero_grad()
         with Tape() as tape:
             la = mse_loss(x, t1)
             lb = mse_loss(x, t2)
-        tape.backward(la)
-        tape.backward(lb)
-        np.testing.assert_allclose(x.grad, g_total, atol=1e-15)
+        [ga] = tape.backward(la, [x])
+        [gb] = tape.backward(lb, [x])
+        np.testing.assert_allclose(ga + gb, g_total, atol=1e-15)
+
+    def test_two_losses_on_one_tape_match_two_tapes(self):
+        rng = SplitMix64(9)
+        x = Tensor(rng.normal(8).reshape(2, 4), requires_grad=True)
+        y = Tensor(rng.normal(8).reshape(2, 4), requires_grad=True)
+        t = Tensor(rng.normal(8).reshape(2, 4))
+
+        def losses():
+            return mse_loss(x * y, t), l1_loss(relu(x + y), t)
+
+        with Tape() as shared:
+            la, lb = losses()
+        # asking in either order, with overlapping wrt, changes nothing
+        shared_b = shared.backward(lb, [y, x])
+        shared_a = shared.backward(la, [x, y])
+        with Tape() as tape_a:
+            la2, _ = losses()
+        with Tape() as tape_b:
+            _, lb2 = losses()
+        for got, want in zip(shared_a + shared_b,
+                             tape_a.backward(la2, [x, y]) + tape_b.backward(lb2, [y, x])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_step_between_two_backwards_changes_nothing(self):
+        # train_mtdt steps the generator before asking the same tape for the
+        # critic's gradients; every vjp must use the weights of the forward
+        p = fc_params(SplitMix64(10), 3, 2)
+        x = Tensor(SplitMix64(11).normal(6).reshape(2, 3), requires_grad=True)
+        with Tape() as tape:
+            loss = tensor_sum(relu(fully_connected(x, p)))
+        wrt = [x, p.weights, p.bias]
+        before = tape.backward(loss, wrt)
+        p.weights.data = p.weights.data * 2.0
+        for got, want in zip(tape.backward(loss, wrt), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_unreached_or_frozen_leaf_gets_none(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        unused = Tensor(np.ones(3), requires_grad=True)
+        frozen = Tensor(np.ones(3))
+        with Tape() as tape:
+            loss = tensor_sum(x * frozen)
+        gx, g_unused, g_frozen = tape.backward(loss, [x, unused, frozen])
+        np.testing.assert_array_equal(gx, np.ones(3))
+        assert g_unused is None and g_frozen is None
+        assert tape.backward(loss, []) == []
+
+    def test_wrt_holding_op_output_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            h = relu(x)
+            loss = tensor_sum(h)
+        with pytest.raises(TapeError, match="recorded on this tape"):
+            tape.backward(loss, [x, h])
 
     def test_loss_not_on_tape_raises(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -318,14 +370,14 @@ class TestBackward:
         with Tape() as other:
             tensor_sum(x)
         with pytest.raises(TapeError):
-            other.backward(loss)
+            other.backward(loss, [x])
 
     def test_backward_needs_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with Tape() as tape:
             y = relu(x)
         with pytest.raises(ValueError, match="scalar"):
-            tape.backward(y)
+            tape.backward(y, [x])
 
     def test_finished_tape_is_freed_by_reference_counting(self):
         from mtda.taskseg import TaskNet
@@ -338,8 +390,7 @@ class TestBackward:
             with Tape() as tape:
                 logits, _ = net.forward(x)
                 loss = softmax_cross_entropy(logits, labels)
-            net.params.zero_grad()
-            tape.backward(loss)
+            tape.backward(loss, net.params.tensors())
 
         step()  # warm-up: lazy imports and one-time caches
         gc.collect()

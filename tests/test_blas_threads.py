@@ -55,8 +55,7 @@ x = Tensor(img, requires_grad=True)
 with Tape() as tape:
     logits, feats = net.forward(x)
     loss = softmax_cross_entropy(logits, lab)
-tape.backward(loss)
-absorb(logits.data, feats.data, x.grad, *(t.grad for t in net.params.tensors()))
+absorb(logits.data, feats.data, *tape.backward(loss, [x] + net.params.tensors()))
 
 # infer-restyle: forward only, batch 16 at 64 px
 img, lab = images(DEFAULT_SOURCE, 16, 64)

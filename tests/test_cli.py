@@ -1,5 +1,8 @@
 """CLI subcommands, exit codes, and artifact flow on a miniature config."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,41 @@ def test_adam_beta_of_one_fails_before_any_artifact(tmp_path):
                                  out_dir=str(out)), path)
     assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_repeated_target_fails_before_any_artifact(tmp_path):
+    out = tmp_path / "run"
+    path = tmp_path / "config.txt"
+    save_config(ExperimentConfig(targets=("dusk", "dusk"), train_scenes=6, eval_scenes=2,
+                                 out_dir=str(out)), path)
+    assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_nested_dataset_dir_target_names_its_artifacts(mini_cfg, tmp_path):
+    from mtda.toydata import BUILTIN_DOMAINS, export, generate
+
+    cfg, _ = mini_cfg
+    data_dir = tmp_path / "data" / "deep" / "night"
+    export(generate(BUILTIN_DOMAINS["night"], 9, 8, 32, 32), data_dir)
+
+    def digests():
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in data_dir.iterdir()}
+
+    before = digests()
+    cfg.targets = ("dusk", str(data_dir))
+    path = tmp_path / "nested.txt"
+    save_config(cfg, path)
+    assert main(["pipeline", "--config", str(path)]) == EXIT_OK
+    assert digests() == before
+    out_dir = cfg_out(cfg)
+    for name in ("dusk", "night"):
+        assert (out_dir / f"stats_{name}.bin").is_file()
+        assert (out_dir / "transfers" / name / "manifest.txt").is_file()
+        assert (out_dir / f"eval_{name}.csv").is_file()
+    record = json.loads((out_dir / "run_record.json").read_text())
+    assert set(record["final_miou"]) == {"dusk", "night"}
+    assert set(record["metrics"]["stats"]) == {"dusk", "night"}
 
 
 def test_missing_prerequisite_is_runtime_error(mini_cfg):

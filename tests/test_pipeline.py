@@ -68,6 +68,19 @@ def test_missing_domain_fails_with_phase_name(tmp_path):
         run_pipeline(cfg)
 
 
+def test_out_of_range_label_fails_in_data_phase(tmp_path):
+    from mtda.toydata import BUILTIN_DOMAINS, export, generate
+
+    scenes = generate(BUILTIN_DOMAINS["source"], 5, 8, 32, 32)
+    scenes[3].label[0, 0] = 7
+    data_dir = tmp_path / "labelled"
+    export(scenes, data_dir)
+    cfg = mini_cfg(tmp_path, source=str(data_dir))
+    with pytest.raises(PhaseError, match=r"phase 'data'.*labelled has labels \[7\]"):
+        run_pipeline(cfg)
+    assert not list((tmp_path / "run").glob("stats_*.bin"))
+
+
 def test_disabled_source_filter_keeps_everything(tmp_path):
     cfg = mini_cfg(tmp_path, bars_source=False)
     out = tmp_path / "run"
