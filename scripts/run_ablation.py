@@ -19,12 +19,10 @@ import numpy as np
 from mtda.config import ExperimentConfig
 from mtda.pipeline import (
     build_datasets,
-    init_models,
+    load_transferred,
     phase_adapt,
     phase_eval,
-    phase_mtdt,
-    phase_stats,
-    phase_transfer,
+    run_phase,
     run_source_only_baseline,
 )
 
@@ -39,10 +37,9 @@ VARIANTS = [
 def run_seed(cfg: ExperimentConfig, out: Path) -> dict[str, dict[str, float]]:
     out.mkdir(parents=True, exist_ok=True)
     data = build_datasets(cfg)
-    model, disc, pnet = init_models(cfg)
-    stats_list, _ = phase_stats(cfg, model, data, out)
-    phase_mtdt(cfg, model, disc, pnet, data, stats_list, out)
-    transferred = phase_transfer(cfg, model, data, stats_list, out)
+    for phase in ("stats", "mtdt", "transfer"):
+        run_phase(cfg, phase, data, out)
+    transferred = load_transferred(cfg, out)
 
     results: dict[str, dict[str, float]] = {}
     for name, flags in VARIANTS:

@@ -442,11 +442,12 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
 def upsample_nearest2x(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"upsample input must be (B,C,H,W), got {x.shape}")
-    B, C, H, W = x.shape
     out = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def vjp(g: np.ndarray):
-        return g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)),
+        # each input pixel's four copies, summed pairwise
+        even, odd = g[:, :, 0::2], g[:, :, 1::2]
+        return (even[..., 0::2] + even[..., 1::2]) + (odd[..., 0::2] + odd[..., 1::2]),
 
     return _emit(out, (x,), vjp)
 

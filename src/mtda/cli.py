@@ -94,50 +94,26 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
         return EXIT_OK
 
     data = pl.build_datasets(cfg)
+    phase = "mtdt" if command == "train-mtdt" else command
+    metrics = pl.run_phase(cfg, phase, data, out_dir)
     if command == "stats":
-        model, _, _ = pl.init_models(cfg)
-        _, metrics = pl.phase_stats(cfg, model, data, out_dir)
         for name in data.target_names:
             print(f"[stats] wrote {pl.stats_path(out_dir, name)} ({metrics[name]['n']} updates)")
-        return EXIT_OK
-    if command == "train-mtdt":
-        model, disc, pnet = pl.init_models(cfg)
-        try:
-            stats_list = pl.load_stats(cfg, out_dir)
-        except FileNotFoundError:
-            stats_list, _ = pl.phase_stats(cfg, model, data, out_dir)
-        metrics = pl.phase_mtdt(cfg, model, disc, pnet, data, stats_list, out_dir)
-        print(f"[train-mtdt] {metrics['iterations']} iterations, "
+    elif command == "train-mtdt":
+        print(f"[train-mtdt] {metrics['iterations']} iterations, domain classifier "
+              f"accuracy {metrics['domain_classifier_accuracy']:.4f}, "
               f"checkpoint {out_dir / 'mtdt_model.bin'}")
-        return EXIT_OK
-    if command == "transfer":
-        model, _ = pl.load_mtdt(cfg, out_dir)
-        stats_list = pl.load_stats(cfg, out_dir)
-        transferred = pl.phase_transfer(cfg, model, data, stats_list, out_dir)
-        for name, scenes in zip(data.target_names, transferred):
-            print(f"[transfer] {name}: {len(scenes)} scenes -> {out_dir / 'transfers' / name}")
-        return EXIT_OK
-    if command == "adapt":
-        transferred = pl.load_transferred(cfg, out_dir)
-        _, metrics = pl.phase_adapt(cfg, data, transferred, out_dir)
+    elif command == "transfer":
+        for name in data.target_names:
+            print(f"[transfer] {name}: {len(data.source_train)} scenes -> "
+                  f"{out_dir / 'transfers' / name}")
+    elif command == "adapt":
         print(f"[adapt] {metrics['iterations']} iterations, "
               f"skipped {metrics['skipped_steps']}, checkpoint {out_dir / 'task_model.bin'}")
-        return EXIT_OK
-    if command == "eval":
-        from .rng import SplitMix64
-        from .taskseg import TaskNet
-        from .tensorio import read_archive
-
-        path = out_dir / "task_model.bin"
-        if not path.is_file():
-            raise FileNotFoundError(f"missing task checkpoint {path}; run 'adapt' first")
-        net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
-        net.params.load_state_arrays(read_archive(path))
-        results = pl.phase_eval(cfg, net, data, out_dir)
-        for name, res in results.items():
+    else:
+        for name, res in metrics.items():
             print(f"[eval] {name}: mIoU {res['miou']:.2f}")
-        return EXIT_OK
-    raise AssertionError(f"unhandled command {command}")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

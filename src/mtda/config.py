@@ -154,7 +154,7 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    known = {key for _, keys in _SECTIONS for key in keys}
+    section_of = {key: section for section, keys in _SECTIONS for key in keys}
     sections = {name for name, _ in _SECTIONS}
     values: dict[str, object] = {}
     current = None
@@ -173,8 +173,13 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if current is None:
             raise ConfigError(f"line {lineno}: key {key!r} before any section header")
-        if key not in known:
+        if key not in section_of:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if section_of[key] != current:
+            raise ConfigError(f"line {lineno}: key {key!r} belongs in "
+                              f"[{section_of[key]}], not [{current}]")
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         values[key] = _parse_value(key, raw.strip())
     return ExperimentConfig(**values).validate()
 

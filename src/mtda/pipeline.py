@@ -1,17 +1,18 @@
 """Phase orchestration: statistics -> transfer training -> restyling ->
 self-training adaptation -> evaluation, plus the source-only baseline.
 
-Every phase writes its artifacts under the config's output directory and the
-whole run is summarized in a RunRecord whose ``metrics`` sub-document is a
-pure function of (config, seed): wall-clock times live outside it so records
-of identical runs compare byte-for-byte.
+Every phase reads its inputs from the artifacts the earlier phases wrote under
+the config's output directory and writes its own there; :func:`run_phase` is
+the one driver.  The whole run is summarized in a RunRecord whose ``metrics``
+sub-document is a pure function of (config, seed): wall-clock times live
+outside it so records of identical runs compare byte-for-byte.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,6 @@ class PhaseError(RuntimeError):
 
 @dataclass
 class Datasets:
-    source_name: str
     target_names: list[str]
     source_train: list[ToyScene]
     source_eval: list[ToyScene]
@@ -112,6 +112,10 @@ def build_datasets(cfg: ExperimentConfig) -> Datasets:
         else:
             tr, ev = (generate(src, cfg.seed, cfg.train_scenes, h, w),
                       generate(src, eval_seed, cfg.eval_scenes, h, w))
+        shapes = {(s.image.shape, s.label.shape) for s in tr + ev} - {((3, h, w), (h, w))}
+        if shapes:
+            raise ValueError(f"dataset {name} has (image, label) shapes {sorted(shapes)}; "
+                             f"image_size={cfg.image_size} needs ((3, {h}, {w}), ({h}, {w}))")
         labels = np.concatenate([s.label.ravel() for s in tr + ev])
         bad = labels[(labels != IGNORE_VALUE) & ((labels < 0) | (labels >= cfg.num_classes))]
         if bad.size:
@@ -126,7 +130,6 @@ def build_datasets(cfg: ExperimentConfig) -> Datasets:
         targets_train.append(tr)
         targets_eval.append(ev)
     return Datasets(
-        source_name=cfg.source,
         target_names=[domain_name(t) for t in cfg.targets],
         source_train=source_train,
         source_eval=source_eval,
@@ -319,17 +322,7 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[list[To
             name = data.target_names[k]
             kept_src_last[name] = diag.kept_fraction_source
             kept_tgt_last[name] = diag.kept_fraction_target
-            fh.write(json.dumps({
-                "iteration": diag.iteration,
-                "domain": name,
-                "loss": diag.loss,
-                "kept_fraction_source": diag.kept_fraction_source,
-                "kept_fraction_target": diag.kept_fraction_target,
-                "cold_start_keeps": diag.cold_start_keeps,
-                "skipped": diag.skipped,
-                "centroid_counts_transferred": diag.centroid_counts_transferred,
-                "centroid_counts_target": diag.centroid_counts_target,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps({**asdict(diag), "domain": name}, sort_keys=True) + "\n")
 
     write_archive(out_dir / "task_model.bin", net.params.state_arrays())
     metrics = {
@@ -339,6 +332,15 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[list[To
         "kept_fraction_target_last": kept_tgt_last,
     }
     return net, metrics
+
+
+def load_task(cfg: ExperimentConfig, out_dir: Path) -> TaskNet:
+    path = out_dir / "task_model.bin"
+    if not path.is_file():
+        raise FileNotFoundError(f"missing task checkpoint {path}; run 'adapt' first")
+    net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
+    net.params.load_state_arrays(read_archive(path))
+    return net
 
 
 def evaluate_net(net: TaskNet, scenes: list[ToyScene], num_classes: int,
@@ -389,13 +391,40 @@ def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
     return correct / (len(stats_list) * len(scenes))
 
 
+PHASES = ("stats", "mtdt", "transfer", "adapt", "eval")
+
+
+def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path,
+              verify_selection: bool = False) -> dict:
+    """Run one phase of :data:`PHASES` from the artifacts the earlier phases
+    left in out_dir, and return what the run record stores for it."""
+    if phase == "stats":
+        model, _, _ = init_models(cfg)
+        return phase_stats(cfg, model, data, out_dir)[1]
+    if phase == "mtdt":
+        stats_list = load_stats(cfg, out_dir)
+        model, disc, pnet = init_models(cfg)
+        metrics = phase_mtdt(cfg, model, disc, pnet, data, stats_list, out_dir)
+        acc = domain_classifier_accuracy(model, disc, data.source_eval, stats_list)
+        return {**metrics, "domain_classifier_accuracy": round(acc, 4)}
+    if phase == "transfer":
+        model, _ = load_mtdt(cfg, out_dir)
+        phase_transfer(cfg, model, data, load_stats(cfg, out_dir), out_dir)
+        return {}
+    if phase == "adapt":
+        return phase_adapt(cfg, data, load_transferred(cfg, out_dir), out_dir,
+                           verify=verify_selection)[1]
+    if phase == "eval":
+        return phase_eval(cfg, load_task(cfg, out_dir), data, out_dir)
+    raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
+
+
 def run_pipeline(cfg: ExperimentConfig, verify_selection: bool = False) -> RunRecord:
     cfg.validate()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.txt")
     record = RunRecord(config_hash=config_hash(cfg), metrics={}, final_miou={})
-    clocks = record.wall_clock
 
     def timed(name, fn):
         t0 = time.perf_counter()
@@ -403,34 +432,15 @@ def run_pipeline(cfg: ExperimentConfig, verify_selection: bool = False) -> RunRe
             result = fn()
         except Exception as e:
             raise PhaseError(name, str(e)) from e
-        clocks[name] = round(time.perf_counter() - t0, 3)
+        record.wall_clock[name] = round(time.perf_counter() - t0, 3)
         return result
 
     data = timed("data", lambda: build_datasets(cfg))
-    model, disc, pnet = init_models(cfg)
-
-    stats_list, stats_metrics = timed("stats", lambda: phase_stats(cfg, model, data, out_dir))
-    record.metrics["stats"] = stats_metrics
-
-    record.metrics["mtdt"] = timed(
-        "mtdt", lambda: phase_mtdt(cfg, model, disc, pnet, data, stats_list, out_dir)
-    )
-
-    acc = timed("mtdt-eval",
-                lambda: domain_classifier_accuracy(model, disc, data.source_eval, stats_list))
-    record.metrics["mtdt"]["domain_classifier_accuracy"] = round(acc, 4)
-
-    transferred = timed("transfer",
-                        lambda: phase_transfer(cfg, model, data, stats_list, out_dir))
-
-    net, adapt_metrics = timed(
-        "adapt", lambda: phase_adapt(cfg, data, transferred, out_dir, verify=verify_selection)
-    )
-    record.metrics["adapt"] = adapt_metrics
-
-    record.metrics["eval"] = timed("eval", lambda: phase_eval(cfg, net, data, out_dir))
-    record.final_miou = {name: record.metrics["eval"][name]["miou"]
-                         for name in data.target_names}
+    for phase in PHASES:
+        metrics = timed(phase, lambda: run_phase(cfg, phase, data, out_dir, verify_selection))
+        if metrics:  # transfer's is empty
+            record.metrics[phase] = metrics
+    record.final_miou = {name: res["miou"] for name, res in record.metrics["eval"].items()}
 
     record.artifacts = sorted(
         str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()

@@ -22,6 +22,7 @@ from mtda.autodiff import (
     sigmoid_bce_with_logits,
     softmax_cross_entropy,
     tensor_sum,
+    upsample_nearest2x,
 )
 from mtda.layers import conv_params, fc_params
 from mtda.rng import SplitMix64
@@ -283,6 +284,20 @@ class TestBackward:
             loss = tensor_sum(x)
         [grad] = tape.backward(loss, [x])
         np.testing.assert_array_equal(grad, np.ones((3, 4)))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 4, 5), (4, 16, 16, 16)])
+    def test_upsample_gradient_sums_the_four_copies(self, shape):
+        rng = np.random.default_rng(3)
+        B, C, H, W = shape
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        g = rng.standard_normal((B, C, 2 * H, 2 * W))
+        with Tape() as tape:
+            loss = tensor_sum(upsample_nearest2x(x) * Tensor(g))
+        [grad] = tape.backward(loss, [x])
+        copies = g.reshape(B, C, H, 2, W, 2)
+        # any two orders of the three additions differ by under 4 eps x the sum of magnitudes
+        tol = 4 * np.finfo(np.float64).eps * np.abs(copies).sum(axis=(3, 5))
+        assert (np.abs(grad - copies.sum(axis=(3, 5))) <= tol).all()
 
     def test_l1_sign_rule(self):
         # loss = l1(a*x + b, 0) with positive a*x + b has d/dx = a

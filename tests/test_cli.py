@@ -98,6 +98,13 @@ def test_missing_prerequisite_is_runtime_error(mini_cfg):
     assert main(["transfer", "--config", path]) == EXIT_RUNTIME
 
 
+def test_train_mtdt_without_stats_is_runtime_error(mini_cfg, capsys):
+    cfg, path = mini_cfg
+    assert main(["train-mtdt", "--config", path]) == EXIT_RUNTIME
+    assert "run 'stats' first" in capsys.readouterr().err
+    assert not (cfg_out(cfg) / "mtdt_model.bin").exists()
+
+
 def test_stats_writes_one_checkpoint_per_target(mini_cfg, capsys):
     cfg, path = mini_cfg
     assert main(["stats", "--config", path]) == EXIT_OK
@@ -143,6 +150,22 @@ def test_full_command_chain(mini_cfg, capsys):
     assert (out_dir / "transfers" / "dusk" / "manifest.txt").is_file()
     assert (out_dir / "eval_dusk.csv").is_file()
     assert "mIoU" in capsys.readouterr().out
+
+
+def test_phase_chain_leaves_the_pipeline_artifacts(mini_cfg, tmp_path):
+    _, path = mini_cfg
+    chain, pipe = tmp_path / "chain", tmp_path / "pipe"
+    for command in ["stats", "train-mtdt", "transfer", "adapt", "eval"]:
+        assert main([command, "--config", path, "--out", str(chain)]) == EXIT_OK, command
+    assert main(["pipeline", "--config", path, "--out", str(pipe)]) == EXIT_OK
+
+    def digests(root):
+        return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in root.rglob("*")
+                if p.is_file() and p.name not in ("config.txt", "run_record.json")}
+
+    assert digests(chain) == digests(pipe)
+    assert {"mtdt_model.bin", "task_model.bin", "eval_night.csv"} <= set(digests(pipe))
 
 
 def test_pipeline_command_and_record(mini_cfg, capsys):

@@ -58,6 +58,17 @@ def test_key_before_section_rejected():
         parse_config("seed=1\n")
 
 
+def test_repeated_key_rejected():
+    with pytest.raises(ConfigError, match="line 3: repeated key 'seed'"):
+        parse_config("[experiment]\nseed=7\nseed=9\n")
+
+
+def test_key_in_wrong_section_rejected():
+    with pytest.raises(ConfigError, match=r"line 2: key 'seed' belongs in \[experiment\], "
+                                          r"not \[bars\]"):
+        parse_config("[bars]\nseed=8\nimage_size=64\n")
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("[experiment]\nseed=banana\n")

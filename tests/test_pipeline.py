@@ -81,6 +81,25 @@ def test_out_of_range_label_fails_in_data_phase(tmp_path):
     assert not list((tmp_path / "run").glob("stats_*.bin"))
 
 
+def test_wrong_image_size_fails_in_data_phase(tmp_path):
+    from mtda.toydata import BUILTIN_DOMAINS, export, generate
+
+    data_dir = tmp_path / "big"
+    export(generate(BUILTIN_DOMAINS["night"], 5, 8, 64, 64), data_dir)
+    cfg = mini_cfg(tmp_path, targets=("dusk", str(data_dir)))
+    with pytest.raises(PhaseError, match=r"phase 'data'.*big has \(image, label\) shapes "
+                                         r"\[\(\(3, 64, 64\), \(64, 64\)\)\]"):
+        run_pipeline(cfg)
+    assert not list((tmp_path / "run").glob("stats_*.bin"))
+
+
+def test_record_times_data_and_every_phase(tmp_path):
+    record = run_pipeline(mini_cfg(tmp_path))
+    assert list(record.wall_clock) == ["data", "stats", "mtdt", "transfer", "adapt", "eval"]
+    assert set(record.metrics) == {"stats", "mtdt", "adapt", "eval"}
+    assert 0.0 <= record.metrics["mtdt"]["domain_classifier_accuracy"] <= 1.0
+
+
 def test_disabled_source_filter_keeps_everything(tmp_path):
     cfg = mini_cfg(tmp_path, bars_source=False)
     out = tmp_path / "run"
