@@ -507,12 +507,11 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
 IGNORE_VALUE = 255
 
 
-def softmax_cross_entropy(pred: Tensor, target: np.ndarray,
-                          ignore_value: int = IGNORE_VALUE) -> Tensor:
+def softmax_cross_entropy(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean of -log softmax(pred)[target] over non-ignored positions.
 
     pred is (B,K) with integer target (B,), or (B,K,H,W) with target (B,H,W).
-    Positions whose target equals ignore_value contribute neither to the loss
+    Positions whose target equals IGNORE_VALUE contribute neither to the loss
     nor to the gradient; if everything is ignored the loss is 0 with zero
     gradients.
     """
@@ -528,11 +527,11 @@ def softmax_cross_entropy(pred: Tensor, target: np.ndarray,
     if t.shape != (B, H, W):
         raise ShapeError(f"cross-entropy target shape {target.shape} does not match pred {pred.shape}")
 
-    keep = t != ignore_value
+    keep = t != IGNORE_VALUE
     bad = keep & ((t < 0) | (t >= K))
     if bad.any():
         raise ValueError(
-            f"cross-entropy labels outside [0,{K}) and != ignore {ignore_value}: "
+            f"cross-entropy labels outside [0,{K}) and != ignore {IGNORE_VALUE}: "
             f"{np.unique(t[bad])}"
         )
     n_kept = int(keep.sum())

@@ -27,12 +27,9 @@ from .labelops import nn_downsample, nn_upsample
 from .stats import RunningMeanBank
 from .taskseg import TaskNet
 
-DEFAULT_SWITCH_ITERATION = 300
-
 
 def class_means(features: np.ndarray, labels: np.ndarray,
-                num_classes: int, ignore_value: int = IGNORE_VALUE
-                ) -> tuple[np.ndarray, np.ndarray]:
+                num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean feature vector and pixel count per class.
 
     features: (Df, Hf, Wf); labels: (Hf, Wf) integers.  Classes absent from
@@ -47,7 +44,7 @@ def class_means(features: np.ndarray, labels: np.ndarray,
     df = features.shape[0]
     flat_f = features.reshape(df, -1)
     flat_l = labels.reshape(-1)
-    keep = flat_l != ignore_value
+    keep = flat_l != IGNORE_VALUE
     if ((flat_l[keep] < 0) | (flat_l[keep] >= num_classes)).any():
         raise ValueError(f"labels outside [0,{num_classes}) in class_means")
     means = np.zeros((num_classes, df))
@@ -74,14 +71,13 @@ def nearest_class(features: np.ndarray, bank: RunningMeanBank) -> np.ndarray:
     return classes[np.argmin(d2, axis=1)].reshape(*lead, hf, wf)
 
 
-def filter_labels(labels: np.ndarray, nearest: np.ndarray,
-                  ignore_value: int = IGNORE_VALUE) -> np.ndarray:
+def filter_labels(labels: np.ndarray, nearest: np.ndarray) -> np.ndarray:
     """Keep a label only where the nearest class agrees with it."""
     labels = np.asarray(labels)
     nearest = np.asarray(nearest)
     if labels.shape != nearest.shape:
         raise ValueError(f"labels {labels.shape} and nearest map {nearest.shape} differ")
-    return np.where(labels == nearest, labels, ignore_value)
+    return np.where(labels == nearest, labels, IGNORE_VALUE)
 
 
 @dataclass
@@ -89,7 +85,7 @@ class BarsState:
     num_classes: int
     feature_dim: int
     num_domains: int
-    switch_iteration: int = DEFAULT_SWITCH_ITERATION
+    switch_iteration: int
     iteration: int = 0
     # one per-class centroid bank per target domain and direction
     transferred_banks: list[RunningMeanBank] = field(default_factory=list)
@@ -182,10 +178,10 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
         cold_keeps += n_cold
 
         if verify:
-            _verify_selection(feats_src, lab_src, bars_src, state.target_banks[domain],
-                              enabled=filter_source, what=f"restyled[{domain}]")
-            _verify_selection(feats_tgt, lab_tgt, bars_tgt, state.transferred_banks[domain],
-                              enabled=True, what=f"target[{domain}]")
+            _check_selection(feats_src, lab_src, bars_src, state.target_banks[domain],
+                             enabled=filter_source, what=f"restyled[{domain}]")
+            _check_selection(feats_tgt, lab_tgt, bars_tgt, state.transferred_banks[domain],
+                             enabled=True, what=f"target[{domain}]")
 
         kept_src = float((bars_src != IGNORE_VALUE).mean())
         kept_tgt = float((bars_tgt != IGNORE_VALUE).mean())
@@ -223,8 +219,8 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
     return float(loss.item()), diag
 
 
-def _verify_selection(features: np.ndarray, raw: np.ndarray, kept: np.ndarray,
-                      bank: RunningMeanBank, enabled: bool, what: str) -> None:
+def _check_selection(features: np.ndarray, raw: np.ndarray, kept: np.ndarray,
+                     bank: RunningMeanBank, enabled: bool, what: str) -> None:
     """Exhaustive soundness check: every filtered-kept pixel's nearest centroid
     is its own label."""
     if not enabled:

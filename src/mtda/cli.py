@@ -43,11 +43,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--config", type=str, default=None, help="key=value config file")
             p.add_argument("--seed", type=int, default=None, help="override config seed")
             p.add_argument("--out", type=str, default=None, help="override output dir")
-            p.add_argument("--dump-images", action="store_true", help="write PPM previews")
-            p.add_argument("--no-bars-source", action="store_true",
-                           help="train restyled images with unfiltered source labels")
-            p.add_argument("--no-bars-target", action="store_true",
-                           help="drop the pseudo-label training term")
     return parser
 
 
@@ -57,12 +52,6 @@ def _load_cfg(args) -> ExperimentConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    if args.dump_images:
-        cfg.dump_images = True
-    if args.no_bars_source:
-        cfg.bars_source = False
-    if args.no_bars_target:
-        cfg.bars_target = False
     return cfg.validate()
 
 
@@ -84,8 +73,6 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
     from . import pipeline as pl
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if command == "pipeline":
         record = pl.run_pipeline(cfg)
         for name, value in record.final_miou.items():
@@ -94,6 +81,7 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
         return EXIT_OK
 
     data = pl.build_datasets(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     phase = "mtdt" if command == "train-mtdt" else command
     metrics = pl.run_phase(cfg, phase, data, out_dir)
     if command == "stats":

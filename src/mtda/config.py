@@ -37,8 +37,6 @@ class ExperimentConfig:
     targets: tuple[str, ...] = ("dusk", "night")
     train_scenes: int = 256
     eval_scenes: int = 64
-    # statistics phase; 0 means one full pass over each target training set
-    stats_updates: int = 0
     # transfer-network training
     mtdt_lr: float = 1e-3
     mtdt_beta1: float = 0.9
@@ -56,7 +54,6 @@ class ExperimentConfig:
     bars_m: int = 300
     bars_source: bool = True
     bars_target: bool = True
-    dump_images: bool = False
 
     def validate(self) -> "ExperimentConfig":
         for name in ["mtdt_lr", "task_lr", "task_momentum"]:
@@ -66,13 +63,10 @@ class ExperimentConfig:
             if not 0 < getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
         nonneg = ["mtdt_weight_decay", "task_weight_decay", "mtdt_iterations",
-                  "adapt_iterations", "stats_updates", "bars_m"]
+                  "adapt_iterations", "bars_m"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.stats_updates == 1:
-            raise ConfigError("stats_updates must be 0 (one pass) or >= 2: "
-                              "a variance needs at least 2 updates")
         if self.image_size < 16 or self.image_size % 4:
             raise ConfigError(f"image_size must be >= 16 and divisible by 4, got {self.image_size}")
         if not self.targets:
@@ -97,13 +91,11 @@ class ExperimentConfig:
 _SECTIONS: list[tuple[str, list[str]]] = [
     ("experiment", ["seed", "image_size", "num_classes", "out_dir"]),
     ("data", ["source", "targets", "train_scenes", "eval_scenes"]),
-    ("stats", ["stats_updates"]),
     ("mtdt", ["mtdt_lr", "mtdt_beta1", "mtdt_beta2", "mtdt_weight_decay",
               "mtdt_iterations", "mtdt_batch"]),
     ("task", ["task_lr", "task_momentum", "task_weight_decay",
               "adapt_iterations", "task_batch"]),
     ("bars", ["bars_m", "bars_source", "bars_target"]),
-    ("output", ["dump_images"]),
 ]
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import (
+    IGNORE_VALUE,
     Tape,
     Tensor,
     channel_affine,
@@ -49,6 +50,7 @@ from .rng import SplitMix64
 
 H_STEP = 1e-5
 REL_TOLERANCE = 1e-4
+MAX_ELEMENTS = 48  # larger tensors are spot-checked on this many seeded elements
 _REG = 1e-4
 
 
@@ -80,8 +82,7 @@ class GradCheckResult:
 
 
 def check_op(name: str, build: Callable[[SplitMix64], tuple[Callable[[], Tensor], list[Tensor]]],
-             probes: int = 20, tol: float = REL_TOLERANCE,
-             max_elements: int = 48) -> GradCheckResult:
+             probes: int = 20) -> GradCheckResult:
     worst = 0.0
     for seed in range(probes):
         loss_fn, targets = build(SplitMix64(seed).derive(name))
@@ -93,14 +94,14 @@ def check_op(name: str, build: Callable[[SplitMix64], tuple[Callable[[], Tensor]
         for t, g in zip(targets, grads):
             analytic = (g if g is not None else np.zeros_like(t.data)).reshape(-1)
             flat = t.data.reshape(-1)
-            if flat.size > max_elements:
-                indices = sorted({pick.randint(flat.size) for _ in range(max_elements)})
+            if flat.size > MAX_ELEMENTS:
+                indices = sorted({pick.randint(flat.size) for _ in range(MAX_ELEMENTS)})
             else:
                 indices = range(flat.size)
             for i in indices:
                 gn = _central_diff(f, flat, i, H_STEP)
                 err = float(relative_error(analytic[i], gn))
-                if err >= tol:
+                if err >= REL_TOLERANCE:
                     # wide stencil may straddle an activation kink; re-measure
                     gn = _central_diff(f, flat, i, H_STEP / 10.0)
                     err = float(relative_error(analytic[i], gn))
@@ -196,8 +197,8 @@ def _build_mse(rng):
 def _build_softmax_ce(rng):
     x = _rand(rng, 2, 5, 4, 4)
     labels = (rng.uniform(2 * 4 * 4) * 6).astype(np.int64).reshape(2, 4, 4)
-    labels[labels == 5] = 255  # a sprinkling of ignored pixels
-    return (lambda: softmax_cross_entropy(x, labels, 255), [x])
+    labels[labels == 5] = IGNORE_VALUE  # a sprinkling of ignored pixels
+    return (lambda: softmax_cross_entropy(x, labels), [x])
 
 
 def _build_bce(rng):

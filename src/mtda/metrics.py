@@ -20,13 +20,12 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def accumulate(self, pred: np.ndarray, gt: np.ndarray,
-                   ignore_value: int = IGNORE_VALUE) -> None:
+    def accumulate(self, pred: np.ndarray, gt: np.ndarray) -> None:
         pred = np.asarray(pred)
         gt = np.asarray(gt)
         if pred.shape != gt.shape:
             raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-        keep = gt != ignore_value
+        keep = gt != IGNORE_VALUE
         g = gt[keep]
         p = pred[keep]
         k = self.num_classes

@@ -23,9 +23,9 @@ from .config import ExperimentConfig, config_hash, domain_name, save_config
 from .metrics import ConfusionMatrix, miou, write_iou_report
 from .optim import SgdMomentum
 from .rng import SplitMix64
-from .stats import DomainStatistics, WelfordAccumulator, load_accumulator, save_accumulator
+from .stats import DomainStatistics, WelfordAccumulator
 from .taskseg import FEATURE_DIM, TaskNet
-from .tensorio import read_archive, write_archive
+from .tensorio import FormatError, read_archive, write_archive
 from .toydata import BUILTIN_DOMAINS, ToyScene, export, generate, load, write_ppm
 from .transfer import (
     ENCODER_STRIDE,
@@ -36,6 +36,8 @@ from .transfer import (
     TransferBatch,
     train_mtdt,
 )
+
+INFER_BATCH = 16  # images per forward pass when restyling or evaluating a dataset
 
 
 class PhaseError(RuntimeError):
@@ -157,22 +159,24 @@ def stats_path(out_dir: Path, name: str) -> Path:
     return out_dir / f"stats_{name}.bin"
 
 
+_STATS_SHAPES = {"mu": (FEATURE_CHANNELS,), "sigma": (FEATURE_CHANNELS,), "n": ()}
+
+
 def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
                 out_dir: Path) -> tuple[list[DomainStatistics], dict]:
     """Stream every target training image through the encoder into one
-    accumulator per domain, then freeze the extracted statistics."""
+    accumulator per domain, then freeze and save the extracted statistics."""
     hf = cfg.image_size // ENCODER_STRIDE
     stats_list: list[DomainStatistics] = []
     metrics: dict = {}
     for name, scenes in zip(data.target_names, data.targets_train):
         acc = WelfordAccumulator(hf, hf, FEATURE_CHANNELS)
-        n_updates = cfg.stats_updates or len(scenes)
-        for i in range(n_updates):
-            scene = scenes[i % len(scenes)]
+        for scene in scenes:
             feat = model.encode(Tensor(scene.image[None])).data[0]
             acc.update(feat.transpose(1, 2, 0))
-        save_accumulator(stats_path(out_dir, name), acc)
         st = acc.extract()
+        write_archive(stats_path(out_dir, name),
+                      {"mu": st.mu, "sigma": st.sigma, "n": np.array(st.n)})
         stats_list.append(st)
         metrics[name] = {
             "n": st.n,
@@ -188,7 +192,11 @@ def load_stats(cfg: ExperimentConfig, out_dir: Path) -> list[DomainStatistics]:
         path = stats_path(out_dir, name)
         if not path.is_file():
             raise FileNotFoundError(f"missing statistics checkpoint {path}; run 'stats' first")
-        stats_list.append(load_accumulator(path).extract())
+        arrays = read_archive(path)
+        shapes = {key: a.shape for key, a in arrays.items()}
+        if shapes != _STATS_SHAPES:
+            raise FormatError(f"{path}: entries {shapes}, expected {_STATS_SHAPES}")
+        stats_list.append(DomainStatistics(arrays["mu"], arrays["sigma"], int(arrays["n"])))
     return stats_list
 
 
@@ -243,12 +251,12 @@ def load_mtdt(cfg: ExperimentConfig, out_dir: Path):
 
 
 def transfer_dataset(model: MtdtModel, scenes: list[ToyScene],
-                     stats: DomainStatistics, batch: int = 16) -> list[ToyScene]:
+                     stats: DomainStatistics) -> list[ToyScene]:
     """Restyle every scene toward `stats`; labels carry over unchanged.
     Outputs are clamped to the image range real scenes live in."""
     out: list[ToyScene] = []
-    for start in range(0, len(scenes), batch):
-        chunk = scenes[start : start + batch]
+    for start in range(0, len(scenes), INFER_BATCH):
+        chunk = scenes[start : start + INFER_BATCH]
         images, labels = _stack(chunk, range(len(chunk)))
         moved = np.clip(model.transfer_image(Tensor(images), labels, stats).data, -1.0, 1.0)
         out.extend(
@@ -260,17 +268,20 @@ def transfer_dataset(model: MtdtModel, scenes: list[ToyScene],
 
 def phase_transfer(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
                    stats_list: list[DomainStatistics], out_dir: Path) -> list[list[ToyScene]]:
+    """Restyle the source training set toward every target, export each
+    restyled set, and write PPM previews of the first few scenes."""
+    grid_dir = out_dir / "transfer_grid"
+    grid_dir.mkdir(parents=True, exist_ok=True)
+    previews = range(min(4, len(data.source_train)))
+    for i in previews:
+        write_ppm(grid_dir / f"source_{i:02d}.ppm", data.source_train[i].image)
     transferred = []
     for name, stats in zip(data.target_names, stats_list):
         scenes = transfer_dataset(model, data.source_train, stats)
         export(scenes, out_dir / "transfers" / name)
         transferred.append(scenes)
-        if cfg.dump_images:
-            grid_dir = out_dir / "transfer_grid"
-            grid_dir.mkdir(parents=True, exist_ok=True)
-            for i in range(min(4, len(scenes))):
-                write_ppm(grid_dir / f"source_{i:02d}.ppm", data.source_train[i].image)
-                write_ppm(grid_dir / f"{name}_{i:02d}.ppm", np.clip(scenes[i].image, -1, 1))
+        for i in previews:
+            write_ppm(grid_dir / f"{name}_{i:02d}.ppm", scenes[i].image)
     return transferred
 
 
@@ -343,11 +354,11 @@ def load_task(cfg: ExperimentConfig, out_dir: Path) -> TaskNet:
     return net
 
 
-def evaluate_net(net: TaskNet, scenes: list[ToyScene], num_classes: int,
-                 batch: int = 16) -> tuple[ConfusionMatrix, np.ndarray, float]:
+def evaluate_net(net: TaskNet, scenes: list[ToyScene],
+                 num_classes: int) -> tuple[ConfusionMatrix, np.ndarray, float]:
     cm = ConfusionMatrix(num_classes)
-    for start in range(0, len(scenes), batch):
-        chunk = scenes[start : start + batch]
+    for start in range(0, len(scenes), INFER_BATCH):
+        chunk = scenes[start : start + INFER_BATCH]
         images, labels = _stack(chunk, range(len(chunk)))
         cm.accumulate(net.predict(images), labels)
     iou, mean = miou(cm)
@@ -363,11 +374,11 @@ def _class_names(k: int) -> list[str]:
 
 
 def phase_eval(cfg: ExperimentConfig, net: TaskNet, data: Datasets,
-               out_dir: Path, tag: str = "eval") -> dict:
+               out_dir: Path) -> dict:
     results = {}
     for name, scenes in zip(data.target_names, data.targets_eval):
         cm, iou, mean = evaluate_net(net, scenes, cfg.num_classes)
-        write_iou_report(out_dir / f"{tag}_{name}.csv", _class_names(cfg.num_classes), cm)
+        write_iou_report(out_dir / f"eval_{name}.csv", _class_names(cfg.num_classes), cm)
         results[name] = {
             "miou": round(100.0 * mean, 4),
             "per_class_iou": [None if np.isnan(v) else round(100.0 * v, 4) for v in iou],
@@ -394,8 +405,7 @@ def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
 PHASES = ("stats", "mtdt", "transfer", "adapt", "eval")
 
 
-def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path,
-              verify_selection: bool = False) -> dict:
+def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path) -> dict:
     """Run one phase of :data:`PHASES` from the artifacts the earlier phases
     left in out_dir, and return what the run record stores for it."""
     if phase == "stats":
@@ -412,18 +422,15 @@ def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path,
         phase_transfer(cfg, model, data, load_stats(cfg, out_dir), out_dir)
         return {}
     if phase == "adapt":
-        return phase_adapt(cfg, data, load_transferred(cfg, out_dir), out_dir,
-                           verify=verify_selection)[1]
+        return phase_adapt(cfg, data, load_transferred(cfg, out_dir), out_dir)[1]
     if phase == "eval":
         return phase_eval(cfg, load_task(cfg, out_dir), data, out_dir)
     raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
 
 
-def run_pipeline(cfg: ExperimentConfig, verify_selection: bool = False) -> RunRecord:
+def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
     cfg.validate()
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out_dir / "config.txt")
     record = RunRecord(config_hash=config_hash(cfg), metrics={}, final_miou={})
 
     def timed(name, fn):
@@ -436,8 +443,10 @@ def run_pipeline(cfg: ExperimentConfig, verify_selection: bool = False) -> RunRe
         return result
 
     data = timed("data", lambda: build_datasets(cfg))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out_dir / "config.txt")
     for phase in PHASES:
-        metrics = timed(phase, lambda: run_phase(cfg, phase, data, out_dir, verify_selection))
+        metrics = timed(phase, lambda: run_phase(cfg, phase, data, out_dir))
         if metrics:  # transfer's is empty
             record.metrics[phase] = metrics
     record.final_miou = {name: res["miou"] for name, res in record.metrics["eval"].items()}
@@ -451,11 +460,9 @@ def run_pipeline(cfg: ExperimentConfig, verify_selection: bool = False) -> RunRe
 
 
 def run_source_only_baseline(cfg: ExperimentConfig,
-                             data: Datasets | None = None) -> tuple[TaskNet, dict[str, float]]:
+                             data: Datasets) -> tuple[TaskNet, dict[str, float]]:
     """Task network trained on raw source images only; the adaptation floor."""
     cfg.validate()
-    if data is None:
-        data = build_datasets(cfg)
     rng = SplitMix64(cfg.seed).derive("baseline-sampling")
     net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
     opt = SgdMomentum(lr=cfg.task_lr, momentum=cfg.task_momentum,

@@ -13,11 +13,8 @@ sum of squares).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .tensorio import FormatError, TENSOR_MAGIC, pack_tensor, unpack_tensor
 
 
 class InsufficientDataError(RuntimeError):
@@ -55,8 +52,8 @@ class WelfordAccumulator:
         self.n = 0
 
     def update(self, feat: np.ndarray) -> None:
-        # contiguous copy keeps reduction order (and thus extraction) identical
-        # between a live accumulator and one reloaded from its checkpoint
+        # a contiguous copy keeps the buffers' layout, and thus the reduction
+        # order of extract, independent of the caller's strides
         feat = np.ascontiguousarray(feat, dtype=np.float64)
         if feat.shape != self.shape:
             raise ValueError(f"feature shape {feat.shape} != accumulator shape {self.shape}")
@@ -109,30 +106,3 @@ class RunningMeanBank:
     def initialized(self) -> np.ndarray:
         """Boolean mask of slots that received at least one update."""
         return self.counts > 0
-
-
-# ---------------------------------------------------------------------------
-# checkpoint format: tensor record (M), tensor record (S), little-endian u64 n
-
-
-def save_accumulator(path: str | Path, acc: WelfordAccumulator) -> None:
-    n_bytes = int(acc.n).to_bytes(8, "little")
-    Path(path).write_bytes(pack_tensor(acc.m) + pack_tensor(acc.s) + n_bytes)
-
-
-def load_accumulator(path: str | Path) -> WelfordAccumulator:
-    path = Path(path)
-    buf = path.read_bytes()
-    if buf[:8] != TENSOR_MAGIC:
-        raise FormatError(f"{path}: bad statistics checkpoint magic")
-    m, offset = unpack_tensor(buf, 0, str(path))
-    s, offset = unpack_tensor(buf, offset, str(path))
-    if len(buf) - offset != 8:
-        raise FormatError(f"{path}: expected trailing u64 count, found {len(buf) - offset} bytes")
-    if m.ndim != 3 or m.shape != s.shape:
-        raise FormatError(f"{path}: M/S shapes {m.shape} {s.shape} invalid")
-    acc = WelfordAccumulator(*m.shape)
-    acc.m = m
-    acc.s = s
-    acc.n = int.from_bytes(buf[offset:], "little")
-    return acc

@@ -19,10 +19,10 @@ _WIDTHS = (16, 16, 16, FEATURE_DIM)
 
 
 class TaskNet:
-    def __init__(self, num_classes: int, rng: SplitMix64, in_ch: int = 3):
+    def __init__(self, num_classes: int, rng: SplitMix64):
         self.num_classes = num_classes
         self.params = ParamGroup()
-        widths = (in_ch,) + _WIDTHS
+        widths = (3,) + _WIDTHS
         self.blocks = [
             self.params.register(f"block{i}", conv_params(rng, widths[i], widths[i + 1], k=3))
             for i in range(len(_WIDTHS))

@@ -24,7 +24,7 @@ class FormatError(ValueError):
 
 
 def pack_tensor(a: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
     head = TENSOR_MAGIC + struct.pack("<I", a.ndim)
     head += struct.pack(f"<{a.ndim}I", *a.shape)
     return head + a.astype("<f8").tobytes()

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import SplitMix64
-from .tensorio import read_tensor, write_tensor
+from .tensorio import FormatError, read_tensor, write_tensor
 
 NUM_CLASSES = 4
 CLASS_NAMES = ("background", "disk", "stripe", "rectangle")
@@ -183,11 +183,16 @@ def load(dataset_dir: str | Path) -> list[ToyScene]:
     if not manifest.is_file():
         raise FileNotFoundError(f"no manifest.txt in dataset dir {dataset_dir}")
     scenes = []
-    for line in manifest.read_text(encoding="utf-8").splitlines():
-        img_name, lab_name, seed = line.split("\t")
+    for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            img_name, lab_name, seed = line.split("\t")
+            seed = int(seed)
+        except ValueError:
+            raise FormatError(f"{manifest} line {lineno}: expected image, label and integer "
+                              f"seed separated by tabs, got {line!r}") from None
         image = read_tensor(dataset_dir / img_name)
         label = np.rint(read_tensor(dataset_dir / lab_name)).astype(np.int64)
-        scenes.append(ToyScene(image=image, label=label, seed=int(seed)))
+        scenes.append(ToyScene(image=image, label=label, seed=seed))
     return scenes
 
 

@@ -131,9 +131,8 @@ class TadResBlock:
 class MtdtModel:
     """Encoder, style encoder, label projection, style-transfer blocks, generator."""
 
-    def __init__(self, num_classes: int, rng: SplitMix64, eps: float = NORM_EPS):
+    def __init__(self, num_classes: int, rng: SplitMix64):
         self.num_classes = num_classes
-        self.eps = eps
         cf = FEATURE_CHANNELS
         self.params = ParamGroup()
         reg = self.params.register
@@ -176,13 +175,13 @@ class MtdtModel:
         feature statistics keep the domain's appearance."""
         self._check_image(image)
         h = relu(conv2d(image, self.enc1, stride=1, pad=1))
-        h = relu(instance_norm(conv2d(h, self.enc2, stride=2, pad=1), self.eps))
+        h = relu(instance_norm(conv2d(h, self.enc2, stride=2, pad=1), NORM_EPS))
         return conv2d(h, self.enc3, stride=2, pad=1)
 
     def extract_style(self, image: Tensor) -> StyleTensors:
         self._check_image(image)
         h = relu(conv2d(image, self.se1, stride=1, pad=1))
-        h = relu(instance_norm(conv2d(h, self.se2, stride=2, pad=1), self.eps))
+        h = relu(instance_norm(conv2d(h, self.se2, stride=2, pad=1), NORM_EPS))
         h = relu(conv2d(h, self.se3, stride=2, pad=1))
         return StyleTensors(
             gamma=conv2d(h, self.se_gamma, stride=1, pad=1),
@@ -221,7 +220,7 @@ class MtdtModel:
     def generate(self, feature: Tensor) -> Tensor:
         h = relu(conv2d(feature, self.gen1, stride=1, pad=1))
         h = upsample_nearest2x(h)
-        h = relu(instance_norm(conv2d(h, self.gen2, stride=1, pad=1), self.eps))
+        h = relu(instance_norm(conv2d(h, self.gen2, stride=1, pad=1), NORM_EPS))
         h = upsample_nearest2x(h)
         return conv2d(h, self.gen3, stride=1, pad=1)
 

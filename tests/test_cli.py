@@ -34,6 +34,25 @@ def test_no_command_is_usage_error():
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--dump-images", "--no-bars-source", "--no-bars-target"])
+def test_removed_flags_are_usage_errors(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", flag])
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text, where", [
+    ("[experiment]\nseed=7\nstats_updates=0\n", "line 3: unknown key 'stats_updates'"),
+    ("[output]\ndump_images=true\n", "line 1: unknown section [output]"),
+])
+def test_removed_config_keys_are_config_errors(tmp_path, capsys, text, where):
+    path = tmp_path / "old.txt"
+    path.write_text(text)
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("[experiment]\nseed=banana\n")
@@ -91,6 +110,20 @@ def test_nested_dataset_dir_target_names_its_artifacts(mini_cfg, tmp_path):
     record = json.loads((out_dir / "run_record.json").read_text())
     assert set(record["final_miou"]) == {"dusk", "night"}
     assert set(record["metrics"]["stats"]) == {"dusk", "night"}
+
+
+@pytest.mark.parametrize("command", ["stats", "pipeline"])
+def test_data_phase_failure_leaves_no_out_dir(mini_cfg, tmp_path, command):
+    from mtda.toydata import BUILTIN_DOMAINS, export, generate
+
+    cfg, _ = mini_cfg
+    data_dir = tmp_path / "big"
+    export(generate(BUILTIN_DOMAINS["night"], 5, 8, 64, 64), data_dir)
+    cfg.targets = ("dusk", str(data_dir))
+    path = tmp_path / "big.txt"
+    save_config(cfg, path)
+    assert main([command, "--config", str(path)]) == EXIT_RUNTIME
+    assert not cfg_out(cfg).exists()
 
 
 def test_missing_prerequisite_is_runtime_error(mini_cfg):
@@ -170,12 +203,14 @@ def test_phase_chain_leaves_the_pipeline_artifacts(mini_cfg, tmp_path):
 
 def test_pipeline_command_and_record(mini_cfg, capsys):
     cfg, path = mini_cfg
-    assert main(["pipeline", "--config", path, "--dump-images"]) == EXIT_OK
+    assert main(["pipeline", "--config", path]) == EXIT_OK
     out_dir = cfg_out(cfg)
     record = (out_dir / "run_record.json").read_text()
     assert '"config_hash"' in record
     assert '"final_miou"' in record
     assert list((out_dir / "transfer_grid").glob("*.ppm"))
+    assert sorted(p.name for p in (out_dir / "transfer_grid").iterdir()) == [
+        f"{domain}_{i:02d}.ppm" for domain in ("dusk", "night", "source") for i in range(4)]
 
 
 def test_ablation_flags_change_config_hash(mini_cfg):

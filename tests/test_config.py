@@ -83,9 +83,6 @@ def test_validation_bounds():
         ExperimentConfig(adapt_iterations=-1).validate()
     with pytest.raises(ConfigError, match="target"):
         ExperimentConfig(targets=()).validate()
-    with pytest.raises(ConfigError, match="stats_updates"):
-        ExperimentConfig(stats_updates=1).validate()
-    ExperimentConfig(stats_updates=2).validate()
     # a target's artifacts are named by its last path component
     for targets in [("dusk", "dusk"), ("dusk", "/data/a/dusk"), ("dusk", "/"), ("dusk", "a/..")]:
         with pytest.raises(ConfigError, match="distinct names"):

@@ -153,6 +153,26 @@ def test_stats_checkpoint_files_per_domain(tmp_path):
     assert len(load_stats(cfg, out)) == 2
 
 
+@pytest.mark.parametrize("damage", [
+    lambda a: a.pop("n"),
+    lambda a: a.update(mu=a["mu"][:-1]),
+    lambda a: a.update(n=np.array([6.0])),
+], ids=["missing-n", "short-mu", "vector-n"])
+def test_malformed_stats_checkpoint_is_format_error(tmp_path, damage):
+    from mtda.tensorio import FormatError, read_archive, write_archive
+
+    cfg = mini_cfg(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir(parents=True)
+    model, _, _ = init_models(cfg)
+    phase_stats(cfg, model, build_datasets(cfg), out)
+    arrays = read_archive(out / "stats_night.bin")
+    damage(arrays)
+    write_archive(out / "stats_night.bin", arrays)
+    with pytest.raises(FormatError, match="stats_night.bin"):
+        load_stats(cfg, out)
+
+
 def test_domain_classifier_scores_the_clamped_restyled_images(tmp_path):
     cfg = mini_cfg(tmp_path, eval_scenes=3)
     data = build_datasets(cfg)

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtda.rng import SplitMix64
-from mtda.stats import (
-    InsufficientDataError,
-    RunningMeanBank,
-    WelfordAccumulator,
-    load_accumulator,
-    save_accumulator,
-)
+from mtda.stats import InsufficientDataError, RunningMeanBank, WelfordAccumulator
 
 
 def two_pass_oracle(maps: list[np.ndarray]):
@@ -97,20 +91,6 @@ class TestWelford:
         var = ((arr - mu) ** 2).sum() / (len(values) - 1)
         assert st_.mu[0] == pytest.approx(mu, rel=1e-10, abs=1e-10)
         assert st_.variance[0] == pytest.approx(var, rel=1e-10, abs=1e-9)
-
-    def test_serialization_roundtrip_bit_exact(self, tmp_path):
-        rng = SplitMix64(5)
-        acc = WelfordAccumulator(2, 3, 4)
-        for _ in range(9):
-            acc.update(rng.normal(24).reshape(2, 3, 4))
-        path = tmp_path / "stats_demo.bin"
-        save_accumulator(path, acc)
-        back = load_accumulator(path)
-        assert back.n == acc.n
-        assert (back.m == acc.m).all()
-        assert (back.s == acc.s).all()
-        st_a, st_b = acc.extract(), back.extract()
-        assert (st_a.mu == st_b.mu).all() and (st_a.sigma == st_b.sigma).all()
 
 
 class TestRunningMeanBank:

@@ -78,6 +78,17 @@ def test_archive_roundtrip_and_manifest(tmp_path):
     assert "enc.b\t3" in manifest
 
 
+def test_zero_d_array_keeps_its_shape(tmp_path):
+    path = tmp_path / "t.bin"
+    write_tensor(path, np.array(3.0))
+    back = read_tensor(path)
+    assert back.shape == () and back == 3.0
+    write_archive(tmp_path / "a.bin", {"n": np.array(7.0), "v": np.ones(2)})
+    back = read_archive(tmp_path / "a.bin")
+    assert back["n"].shape == () and back["n"] == 7.0
+    assert (tmp_path / "a.bin.manifest").read_text() == "n\tscalar\nv\t2\n"
+
+
 def test_archive_bad_magic(tmp_path):
     path = tmp_path / "a.bin"
     path.write_bytes(b"WRONG!!!" + b"\x00" * 8)

@@ -108,6 +108,15 @@ class TestExport:
         with pytest.raises(FormatError, match="image_00000.bin"):
             load(tmp_path / "ds")
 
+    @pytest.mark.parametrize("bad_line", ["image_00001.bin", "a\tb\t1\td", "a\tb\tseven"])
+    def test_malformed_manifest_line_names_file_and_line(self, tmp_path, bad_line):
+        export(generate(DEFAULT_SOURCE, seed=6, count=2, h=16, w=16), tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.txt"
+        first = manifest.read_text().splitlines()[0]
+        manifest.write_text(f"{first}\n{bad_line}\n")
+        with pytest.raises(FormatError, match=r"manifest\.txt line 2: "):
+            load(tmp_path / "ds")
+
     def test_ppm_header_and_size(self, tmp_path):
         scenes = generate(DEFAULT_SOURCE, seed=6, count=1, h=16, w=16)
         path = tmp_path / "img.ppm"
