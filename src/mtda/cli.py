@@ -81,7 +81,8 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
         return EXIT_OK
 
     data = pl.build_datasets(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if command == "stats":  # every later phase reads its inputs from --out
+        out_dir.mkdir(parents=True, exist_ok=True)
     phase = "mtdt" if command == "train-mtdt" else command
     metrics = pl.run_phase(cfg, phase, data, out_dir)
     if command == "stats":

@@ -50,8 +50,6 @@ class ParamGroup:
         return {name: t.data.copy() for name, t in self._items}
 
     def load_state_arrays(self, arrays: dict) -> None:
+        """Copy in arrays[name] for every parameter; callers check the shapes."""
         for name, t in self._items:
-            src = arrays[name]
-            if src.shape != t.data.shape:
-                raise ValueError(f"param {name}: checkpoint shape {src.shape} != {t.data.shape}")
-            t.data = src.astype("float64").copy()
+            t.data = arrays[name].astype("float64")

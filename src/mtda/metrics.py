@@ -33,9 +33,6 @@ class ConfusionMatrix:
             raise ValueError(f"labels outside [0,{k}) in confusion accumulation")
         self.counts += np.bincount(g * k + p, minlength=k * k).reshape(k, k)
 
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def iou_per_class(cm: ConfusionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(IoU vector, present mask); IoU is NaN for classes absent from gt and pred."""

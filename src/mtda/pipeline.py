@@ -76,14 +76,6 @@ class RunRecord:
             indent=2,
         )
 
-    def metrics_bytes(self) -> bytes:
-        """Canonical bytes of everything that must be run-to-run identical."""
-        return json.dumps(
-            {"config_hash": self.config_hash, "metrics": self.metrics,
-             "final_miou": self.final_miou},
-            sort_keys=True,
-        ).encode("utf-8")
-
 
 def _resolve_domain(name: str):
     if name in BUILTIN_DOMAINS:
@@ -162,6 +154,18 @@ def stats_path(out_dir: Path, name: str) -> Path:
 _STATS_SHAPES = {"mu": (FEATURE_CHANNELS,), "sigma": (FEATURE_CHANNELS,), "n": ()}
 
 
+def _read_checkpoint(path: Path, shapes: dict[str, tuple], producer: str) -> dict:
+    """Entries of the archive at path, which must hold exactly the named shapes."""
+    if not path.is_file():
+        raise FileNotFoundError(f"missing checkpoint {path}; run '{producer}' first")
+    arrays = read_archive(path)
+    found = {name: a.shape for name, a in arrays.items()}
+    if found != shapes:
+        raise FormatError(f"{path}: unexpected entries {sorted(found.items() - shapes.items())}, "
+                          f"missing {sorted(shapes.items() - found.items())}")
+    return arrays
+
+
 def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
                 out_dir: Path) -> tuple[list[DomainStatistics], dict]:
     """Stream every target training image through the encoder into one
@@ -189,13 +193,7 @@ def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
 def load_stats(cfg: ExperimentConfig, out_dir: Path) -> list[DomainStatistics]:
     stats_list = []
     for name in map(domain_name, cfg.targets):
-        path = stats_path(out_dir, name)
-        if not path.is_file():
-            raise FileNotFoundError(f"missing statistics checkpoint {path}; run 'stats' first")
-        arrays = read_archive(path)
-        shapes = {key: a.shape for key, a in arrays.items()}
-        if shapes != _STATS_SHAPES:
-            raise FormatError(f"{path}: entries {shapes}, expected {_STATS_SHAPES}")
+        arrays = _read_checkpoint(stats_path(out_dir, name), _STATS_SHAPES, "stats")
         stats_list.append(DomainStatistics(arrays["mu"], arrays["sigma"], int(arrays["n"])))
     return stats_list
 
@@ -238,15 +236,13 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
 
 
 def load_mtdt(cfg: ExperimentConfig, out_dir: Path):
-    path = out_dir / "mtdt_model.bin"
-    if not path.is_file():
-        raise FileNotFoundError(f"missing transfer checkpoint {path}; run 'train-mtdt' first")
     model, disc, _ = init_models(cfg)
-    arrays = read_archive(path)
-    model.params.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("disc/")})
-    disc.params.load_state_arrays(
-        {k[len("disc/"):]: v for k, v in arrays.items() if k.startswith("disc/")}
-    )
+    shapes = {name: t.data.shape for name, t in model.params.named()}
+    shapes.update({f"disc/{name}": t.data.shape for name, t in disc.params.named()})
+    arrays = _read_checkpoint(out_dir / "mtdt_model.bin", shapes, "train-mtdt")
+    model.params.load_state_arrays(arrays)
+    disc.params.load_state_arrays({k[len("disc/"):]: v for k, v in arrays.items()
+                                   if k.startswith("disc/")})
     return model, disc
 
 
@@ -260,7 +256,7 @@ def transfer_dataset(model: MtdtModel, scenes: list[ToyScene],
         images, labels = _stack(chunk, range(len(chunk)))
         moved = np.clip(model.transfer_image(Tensor(images), labels, stats).data, -1.0, 1.0)
         out.extend(
-            ToyScene(image=moved[i].copy(), label=chunk[i].label.copy(), seed=chunk[i].seed)
+            ToyScene(image=moved[i].copy(), label=chunk[i].label.copy())
             for i in range(len(chunk))
         )
     return out
@@ -289,7 +285,7 @@ def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[list[ToyScene
     transferred = []
     for name in map(domain_name, cfg.targets):
         d = out_dir / "transfers" / name
-        if not (d / "manifest.txt").is_file():
+        if not (d / "scenes.bin").is_file():
             raise FileNotFoundError(f"missing transferred dataset {d}; run 'transfer' first")
         transferred.append(load(d))
     return transferred
@@ -346,11 +342,9 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[list[To
 
 
 def load_task(cfg: ExperimentConfig, out_dir: Path) -> TaskNet:
-    path = out_dir / "task_model.bin"
-    if not path.is_file():
-        raise FileNotFoundError(f"missing task checkpoint {path}; run 'adapt' first")
     net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
-    net.params.load_state_arrays(read_archive(path))
+    shapes = {name: t.data.shape for name, t in net.params.named()}
+    net.params.load_state_arrays(_read_checkpoint(out_dir / "task_model.bin", shapes, "adapt"))
     return net
 
 

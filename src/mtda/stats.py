@@ -37,10 +37,6 @@ class DomainStatistics:
         if (self.sigma < 0).any() or not np.isfinite(self.mu).all() or not np.isfinite(self.sigma).all():
             raise ValueError("domain statistics must be finite with sigma >= 0")
 
-    @property
-    def variance(self) -> np.ndarray:
-        return self.sigma**2
-
 
 class WelfordAccumulator:
     """Online mean/variance over a stream of fixed-size (H, W, C) feature maps."""

@@ -5,12 +5,18 @@ row-major float64 payload, all little-endian.  An archive is a sequence of
 (u32 name length, utf-8 name, tensor record) entries after an ``ADASARCH``
 magic and u32 count, with a sidecar ``<path>.manifest`` text file listing
 names and shapes for inspection.
+
+Archives are streamed entry by entry to ``<path>.tmp`` and moved over
+``<path>`` with ``os.replace`` (the sidecar likewise), so an interrupted
+write leaves the previous file, never a truncated one.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +29,13 @@ class FormatError(ValueError):
     """Raised when a binary file does not match the expected layout."""
 
 
+def _tensor_header(shape: tuple[int, ...]) -> bytes:
+    return TENSOR_MAGIC + struct.pack(f"<I{len(shape)}I", len(shape), *shape)
+
+
 def pack_tensor(a: np.ndarray) -> bytes:
     a = np.asarray(a, dtype=np.float64)
-    head = TENSOR_MAGIC + struct.pack("<I", a.ndim)
-    head += struct.pack(f"<{a.ndim}I", *a.shape)
-    return head + a.astype("<f8").tobytes()
+    return _tensor_header(a.shape) + a.astype("<f8").tobytes()
 
 
 def _u32(buf: bytes, offset: int, path: str, what: str) -> int:
@@ -66,18 +74,32 @@ def read_tensor(path: str | Path) -> np.ndarray:
     return a
 
 
+@contextmanager
+def _replacing(path: Path):
+    """Binary handle on ``<path>.tmp``, moved over path on success, deleted on failure."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_archive(path: str | Path, named: dict[str, np.ndarray]) -> None:
     path = Path(path)
-    chunks = [ARCHIVE_MAGIC, struct.pack("<I", len(named))]
     manifest = []
-    for name, a in named.items():
-        enc = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(enc)))
-        chunks.append(enc)
-        chunks.append(pack_tensor(a))
-        manifest.append(f"{name}\t{'x'.join(str(d) for d in np.shape(a)) or 'scalar'}\n")
-    path.write_bytes(b"".join(chunks))
-    path.with_name(path.name + ".manifest").write_text("".join(manifest), encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(ARCHIVE_MAGIC + struct.pack("<I", len(named)))
+        for name, a in named.items():
+            a = np.asarray(a, dtype="<f8")
+            enc = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(enc)) + enc + _tensor_header(a.shape))
+            fh.write(np.ascontiguousarray(a).data)
+            manifest.append(f"{name}\t{'x'.join(map(str, a.shape)) or 'scalar'}\n")
+    with _replacing(path.with_name(path.name + ".manifest")) as fh:
+        fh.write("".join(manifest).encode("utf-8"))
 
 
 def read_archive(path: str | Path) -> dict[str, np.ndarray]:

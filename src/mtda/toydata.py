@@ -11,6 +11,10 @@ The default domain set builds in one deliberate ambiguity: the disk and the
 stripe are almost indistinguishable in the source palette but far apart in
 both target palettes, so label/appearance conflicts actually occur after
 style transfer and region selection has something to reject.
+
+A dataset on disk, generated or restyled, is one ``tensorio`` archive
+``<dir>/scenes.bin`` of ``images`` (N, 3, H, W) and ``labels`` (N, H, W), written
+atomically: streamed to a temporary file and moved into place whole.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import SplitMix64
-from .tensorio import FormatError, read_tensor, write_tensor
+from .tensorio import FormatError, read_archive, write_archive
 
 NUM_CLASSES = 4
 CLASS_NAMES = ("background", "disk", "stripe", "rectangle")
@@ -48,7 +52,6 @@ class DomainSpec:
 class ToyScene:
     image: np.ndarray   # (3, H, W) float64 in [-1, 1]
     label: np.ndarray   # (H, W) int64 in [0, NUM_CLASSES)
-    seed: int           # per-scene content seed, recorded in the manifest
 
 
 _SOURCE_COLORS = (
@@ -133,9 +136,7 @@ def _place_shapes(rng: SplitMix64, h: int, w: int) -> np.ndarray:
 def generate_scene(spec: DomainSpec, seed: int, index: int, h: int, w: int) -> ToyScene:
     base = SplitMix64(seed)
     for attempt in range(_MAX_ATTEMPTS):
-        content_rng = base.derive(index, "content", attempt)
-        content_seed = content_rng.state
-        label = _place_shapes(content_rng, h, w)
+        label = _place_shapes(base.derive(index, "content", attempt), h, w)
         if len(np.unique(label)) == NUM_CLASSES:
             break
     else:
@@ -149,7 +150,7 @@ def generate_scene(spec: DomainSpec, seed: int, index: int, h: int, w: int) -> T
     std = np.asarray(spec.color_std)[:, None, None]
     offsets = np.asarray(spec.class_offsets)          # (K, 3)
     image = mean + offsets[label].transpose(2, 0, 1) + std * spec.noise_amplitude * eta
-    return ToyScene(image=np.clip(image, -1.0, 1.0), label=label, seed=content_seed)
+    return ToyScene(image=np.clip(image, -1.0, 1.0), label=label)
 
 
 def generate(spec: DomainSpec, seed: int, count: int, h: int, w: int) -> list[ToyScene]:
@@ -159,41 +160,31 @@ def generate(spec: DomainSpec, seed: int, count: int, h: int, w: int) -> list[To
 
 
 # ---------------------------------------------------------------------------
-# on-disk layout: tensor files plus a tab-separated manifest
+# on-disk layout: one archive of stacked images and labels
 
 
 def export(scenes: list[ToyScene], out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, scene in enumerate(scenes):
-        img_name = f"image_{i:05d}.bin"
-        lab_name = f"label_{i:05d}.bin"
-        write_tensor(out_dir / img_name, scene.image)
-        write_tensor(out_dir / lab_name, scene.label.astype(np.float64))
-        lines.append(f"{img_name}\t{lab_name}\t{scene.seed}\n")
-    manifest = out_dir / "manifest.txt"
-    manifest.write_text("".join(lines), encoding="utf-8")
-    return manifest
+    path = out_dir / "scenes.bin"
+    write_archive(path, {"images": np.stack([s.image for s in scenes]),
+                         "labels": np.stack([s.label for s in scenes])})
+    return path
 
 
 def load(dataset_dir: str | Path) -> list[ToyScene]:
-    dataset_dir = Path(dataset_dir)
-    manifest = dataset_dir / "manifest.txt"
-    if not manifest.is_file():
-        raise FileNotFoundError(f"no manifest.txt in dataset dir {dataset_dir}")
-    scenes = []
-    for lineno, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
-        try:
-            img_name, lab_name, seed = line.split("\t")
-            seed = int(seed)
-        except ValueError:
-            raise FormatError(f"{manifest} line {lineno}: expected image, label and integer "
-                              f"seed separated by tabs, got {line!r}") from None
-        image = read_tensor(dataset_dir / img_name)
-        label = np.rint(read_tensor(dataset_dir / lab_name)).astype(np.int64)
-        scenes.append(ToyScene(image=image, label=label, seed=seed))
-    return scenes
+    path = Path(dataset_dir) / "scenes.bin"
+    if not path.is_file():
+        raise FileNotFoundError(f"no scenes.bin in dataset dir {dataset_dir}")
+    arrays = read_archive(path)
+    shapes = {name: a.shape for name, a in arrays.items()}
+    images, labels = shapes.get("images", ()), shapes.get("labels", ())
+    if (set(shapes) != {"images", "labels"} or len(images) != 4 or images[1] != 3
+            or labels != images[:1] + images[2:]):
+        raise FormatError(f"{path}: entries {shapes}, expected images (N, 3, H, W) "
+                          f"and labels (N, H, W)")
+    labels = np.rint(arrays["labels"]).astype(np.int64)
+    return [ToyScene(image=image, label=label) for image, label in zip(arrays["images"], labels)]
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:

@@ -55,7 +55,7 @@ def test_criterion_1_welford_oracle_equivalence():
         var = ((stream - mu[None, :]) ** 2).sum(axis=0) / ((n - 1) * h * w)
         worst = max(worst,
                     float(np.abs(got.mu - mu).max() / max(np.abs(mu).max(), 1e-30)),
-                    float(np.abs(got.variance - var).max() / max(np.abs(var).max(), 1e-30)))
+                    float(np.abs(got.sigma**2 - var).max() / max(np.abs(var).max(), 1e-30)))
     dt = time.time() - t0
     report(1, "welford-oracle", worst < 1e-10 and dt < 5.0,
            f"50 streams, worst rel err {worst:.2e}, {dt:.1f}s")

@@ -105,7 +105,7 @@ def test_nested_dataset_dir_target_names_its_artifacts(mini_cfg, tmp_path):
     out_dir = cfg_out(cfg)
     for name in ("dusk", "night"):
         assert (out_dir / f"stats_{name}.bin").is_file()
-        assert (out_dir / "transfers" / name / "manifest.txt").is_file()
+        assert (out_dir / "transfers" / name / "scenes.bin").is_file()
         assert (out_dir / f"eval_{name}.csv").is_file()
     record = json.loads((out_dir / "run_record.json").read_text())
     assert set(record["final_miou"]) == {"dusk", "night"}
@@ -129,6 +129,7 @@ def test_data_phase_failure_leaves_no_out_dir(mini_cfg, tmp_path, command):
 def test_missing_prerequisite_is_runtime_error(mini_cfg):
     cfg, path = mini_cfg
     assert main(["transfer", "--config", path]) == EXIT_RUNTIME
+    assert not cfg_out(cfg).exists()
 
 
 def test_train_mtdt_without_stats_is_runtime_error(mini_cfg, capsys):
@@ -180,7 +181,7 @@ def test_full_command_chain(mini_cfg, capsys):
     out_dir = cfg_out(cfg)
     assert (out_dir / "mtdt_model.bin").is_file()
     assert (out_dir / "task_model.bin").is_file()
-    assert (out_dir / "transfers" / "dusk" / "manifest.txt").is_file()
+    assert (out_dir / "transfers" / "dusk" / "scenes.bin").is_file()
     assert (out_dir / "eval_dusk.csv").is_file()
     assert "mIoU" in capsys.readouterr().out
 

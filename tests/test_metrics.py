@@ -28,7 +28,7 @@ class TestConfusion:
         cm = ConfusionMatrix(3)
         gt = np.full((4, 4), IGNORE_VALUE)
         cm.accumulate(np.zeros((4, 4), dtype=np.int64), gt)
-        assert cm.total() == 0
+        assert cm.counts.sum() == 0
 
     def test_matches_loop_oracle(self):
         rng = SplitMix64(3)

@@ -1,6 +1,7 @@
 """Pipeline orchestration at miniature scale: records, determinism, flags."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from mtda.pipeline import (
     build_datasets,
     domain_classifier_accuracy,
     init_models,
+    load_mtdt,
+    load_task,
     phase_adapt,
     phase_stats,
     phase_transfer,
@@ -39,16 +42,20 @@ def test_zero_iteration_pipeline_still_produces_record(tmp_path):
     assert body["config_hash"] == record.config_hash
 
 
+def reproducible_part(record):
+    return record.config_hash, record.metrics, record.final_miou
+
+
 def test_identical_runs_identical_metrics_bytes(tmp_path):
-    a = run_pipeline(mini_cfg(tmp_path)).metrics_bytes()
-    b = run_pipeline(mini_cfg(tmp_path)).metrics_bytes()
+    a = reproducible_part(run_pipeline(mini_cfg(tmp_path)))
+    b = reproducible_part(run_pipeline(mini_cfg(tmp_path)))
     assert a == b
 
 
 def test_different_seed_changes_metrics(tmp_path):
     a = run_pipeline(mini_cfg(tmp_path, out_dir=str(tmp_path / "a")))
     b = run_pipeline(mini_cfg(tmp_path, seed=6, out_dir=str(tmp_path / "b")))
-    assert a.metrics_bytes() != b.metrics_bytes()
+    assert reproducible_part(a) != reproducible_part(b)
 
 
 def test_artifacts_are_listed_and_exist(tmp_path):
@@ -131,7 +138,7 @@ def test_stats_equal_raw_image_statistics_on_zero_noise_domain(tmp_path):
     mu = stream.mean(axis=0)
     var = ((stream - mu) ** 2).sum(axis=0) / ((len(scenes) - 1) * 16 * 16)
     np.testing.assert_allclose(st.mu, mu, atol=1e-8)
-    np.testing.assert_allclose(st.variance, var, atol=1e-8)
+    np.testing.assert_allclose(st.sigma**2, var, atol=1e-8)
 
 
 def test_baseline_uses_source_only(tmp_path):
@@ -171,6 +178,34 @@ def test_malformed_stats_checkpoint_is_format_error(tmp_path, damage):
     write_archive(out / "stats_night.bin", arrays)
     with pytest.raises(FormatError, match="stats_night.bin"):
         load_stats(cfg, out)
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    cfg = mini_cfg(tmp_path_factory.mktemp("trained"))
+    run_pipeline(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("checkpoint, loader, damage", [
+    ("mtdt_model.bin", load_mtdt, lambda a: a.pop("enc.c1.w")),
+    ("mtdt_model.bin", load_mtdt, lambda a: a.update(extra=np.zeros(1))),
+    ("task_model.bin", load_task, lambda a: a.pop("block0.w")),
+    ("task_model.bin", load_task, lambda a: a.update(extra=np.zeros(1))),
+    ("task_model.bin", load_task, lambda a: a.update({"block0.w": a["block0.w"][:, :2]})),
+    ("mtdt_model.bin", load_mtdt, lambda a: a.update({"disc/trunk.c1.b": np.zeros(1)})),
+], ids=["mtdt-missing", "mtdt-extra", "task-missing", "task-extra", "task-misshapen",
+        "mtdt-misshapen"])
+def test_malformed_model_checkpoint_is_format_error(trained_run, tmp_path, checkpoint,
+                                                    loader, damage):
+    from mtda.tensorio import FormatError, read_archive, write_archive
+
+    arrays = read_archive(Path(trained_run.out_dir) / checkpoint)
+    loader(trained_run, Path(trained_run.out_dir))
+    damage(arrays)
+    write_archive(tmp_path / checkpoint, arrays)
+    with pytest.raises(FormatError, match=checkpoint):
+        loader(trained_run, tmp_path)
 
 
 def test_domain_classifier_scores_the_clamped_restyled_images(tmp_path):

@@ -31,13 +31,13 @@ class TestWelford:
     def test_stream_2_4_6(self):
         st_ = feed([2, 4, 6]).extract()
         assert st_.mu[0] == pytest.approx(4.0, abs=1e-14)
-        assert st_.variance[0] == pytest.approx(4.0, abs=1e-14)  # two-pass sample variance
+        assert st_.sigma[0] ** 2 == pytest.approx(4.0, abs=1e-14)  # two-pass sample variance
         assert st_.sigma[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_constant_stream_zero_variance(self):
         st_ = feed([3.25] * 7).extract()
         assert st_.mu[0] == pytest.approx(3.25)
-        assert st_.variance[0] == pytest.approx(0.0, abs=1e-14)
+        assert st_.sigma[0] ** 2 == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_two_pass_oracle_on_long_random_stream(self):
         rng = SplitMix64(17)
@@ -50,7 +50,7 @@ class TestWelford:
         st_ = acc.extract()
         mu, var = two_pass_oracle(maps)
         np.testing.assert_allclose(st_.mu, mu, rtol=1e-10)
-        np.testing.assert_allclose(st_.variance, var, rtol=1e-10)
+        np.testing.assert_allclose(st_.sigma**2, var, rtol=1e-10)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
@@ -90,7 +90,7 @@ class TestWelford:
         mu = arr.mean()
         var = ((arr - mu) ** 2).sum() / (len(values) - 1)
         assert st_.mu[0] == pytest.approx(mu, rel=1e-10, abs=1e-10)
-        assert st_.variance[0] == pytest.approx(var, rel=1e-10, abs=1e-9)
+        assert st_.sigma[0] ** 2 == pytest.approx(var, rel=1e-10, abs=1e-9)
 
 
 class TestRunningMeanBank:

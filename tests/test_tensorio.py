@@ -89,6 +89,16 @@ def test_zero_d_array_keeps_its_shape(tmp_path):
     assert (tmp_path / "a.bin.manifest").read_text() == "n\tscalar\nv\t2\n"
 
 
+def test_failed_archive_write_keeps_the_earlier_archive(tmp_path):
+    path = tmp_path / "a.bin"
+    write_archive(path, {"w": np.arange(3.0)})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError):
+        write_archive(path, {"w": np.zeros(5), "b": "not a number"})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert sorted(before) == ["a.bin", "a.bin.manifest"]
+
+
 def test_archive_bad_magic(tmp_path):
     path = tmp_path / "a.bin"
     path.write_bytes(b"WRONG!!!" + b"\x00" * 8)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mtda.tensorio import FormatError
+from mtda.tensorio import FormatError, read_archive, write_archive
 from mtda.toydata import (
     BUILTIN_DOMAINS,
     DEFAULT_SOURCE,
@@ -35,7 +35,6 @@ class TestGenerate:
         for sa, sb in zip(a, b):
             assert (sa.image == sb.image).all()
             assert (sa.label == sb.label).all()
-            assert sa.seed == sb.seed
 
     def test_every_class_present_in_every_scene(self):
         for scene in generate(DEFAULT_SOURCE, seed=2, count=20, h=32, w=32):
@@ -89,32 +88,48 @@ class TestGenerate:
 class TestExport:
     def test_roundtrip_bitwise(self, tmp_path):
         scenes = generate(DEFAULT_SOURCE, seed=6, count=4, h=16, w=16)
-        manifest = export(scenes, tmp_path / "ds")
-        assert manifest.read_text().count("\n") == 4
+        export(scenes, tmp_path / "ds")
         back = load(tmp_path / "ds")
         assert len(back) == 4
         for a, b in zip(scenes, back):
             assert (a.image == b.image).all()
             assert (a.label == b.label).all()
-            assert a.seed == b.seed
+
+    def test_one_archive_per_dataset(self, tmp_path):
+        path = export(generate(DEFAULT_SOURCE, seed=6, count=3, h=16, w=16), tmp_path / "ds")
+        assert path == tmp_path / "ds" / "scenes.bin"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["scenes.bin",
+                                                                 "scenes.bin.manifest"]
+        assert path.with_name("scenes.bin.manifest").read_text() == (
+            "images\t3x3x16x16\nlabels\t3x16x16\n")
+
+    def test_missing_archive_is_file_not_found(self, tmp_path):
+        (tmp_path / "ds").mkdir()
+        with pytest.raises(FileNotFoundError, match="scenes.bin"):
+            load(tmp_path / "ds")
 
     def test_corrupted_magic_names_file(self, tmp_path):
         scenes = generate(DEFAULT_SOURCE, seed=6, count=1, h=16, w=16)
         export(scenes, tmp_path / "ds")
-        victim = tmp_path / "ds" / "image_00000.bin"
+        victim = tmp_path / "ds" / "scenes.bin"
         blob = bytearray(victim.read_bytes())
         blob[:4] = b"XXXX"
         victim.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="image_00000.bin"):
+        with pytest.raises(FormatError, match="scenes.bin"):
             load(tmp_path / "ds")
 
-    @pytest.mark.parametrize("bad_line", ["image_00001.bin", "a\tb\t1\td", "a\tb\tseven"])
-    def test_malformed_manifest_line_names_file_and_line(self, tmp_path, bad_line):
-        export(generate(DEFAULT_SOURCE, seed=6, count=2, h=16, w=16), tmp_path / "ds")
-        manifest = tmp_path / "ds" / "manifest.txt"
-        first = manifest.read_text().splitlines()[0]
-        manifest.write_text(f"{first}\n{bad_line}\n")
-        with pytest.raises(FormatError, match=r"manifest\.txt line 2: "):
+    @pytest.mark.parametrize("damage", [
+        lambda a: a.pop("labels"),
+        lambda a: a.update(extra=np.zeros(1)),
+        lambda a: a.update(labels=a["labels"][:-1]),
+        lambda a: a.update(images=a["images"][:, :2]),
+    ], ids=["missing-labels", "extra-entry", "labels-n", "two-channels"])
+    def test_malformed_archive_names_file(self, tmp_path, damage):
+        path = export(generate(DEFAULT_SOURCE, seed=6, count=2, h=16, w=16), tmp_path / "ds")
+        arrays = read_archive(path)
+        damage(arrays)
+        write_archive(path, arrays)
+        with pytest.raises(FormatError, match="scenes.bin"):
             load(tmp_path / "ds")
 
     def test_ppm_header_and_size(self, tmp_path):
