@@ -56,6 +56,9 @@ class ExperimentConfig:
     bars_target: bool = True
 
     def validate(self) -> "ExperimentConfig":
+        # SplitMix64 keeps a seed's low 64 bits, so any other seed aliases one of these
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ["mtdt_lr", "task_lr", "task_momentum"]:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -126,34 +126,26 @@ def _probed(op: Callable[[], Tensor], rng: SplitMix64) -> Callable[[], Tensor]:
     return lambda: tensor_sum(op() * r)
 
 
-def _build_conv(rng):
-    x = _rand(rng, 2, 3, 6, 6)
-    p = conv_params(rng, 3, 4, k=3)
-    return (_probed(lambda: conv2d(x, p, stride=2, pad=1), rng.derive("probe")),
-            [x, p.weights, p.bias])
+def _build_conv(shape: tuple[int, ...], out_ch: int, k: int, stride: int, pad: int,
+                frozen_weights: bool = False):
+    """Registry entry for a conv2d probe; frozen weights have no
+    requires_grad, so backward skips dw but not dx and db."""
+    def build(rng):
+        x = _rand(rng, *shape)
+        p = conv_params(rng, shape[1], out_ch, k=k)
+        p.weights.requires_grad = not frozen_weights
+        targets = [x, p.bias] if frozen_weights else [x, p.weights, p.bias]
+        return (_probed(lambda: conv2d(x, p, stride=stride, pad=pad), rng.derive("probe")),
+                targets)
+    return build
 
 
-def _build_conv_same(rng):
-    x = _rand(rng, 2, 3, 5, 7)
-    p = conv_params(rng, 3, 4, k=3)
-    return (_probed(lambda: conv2d(x, p, stride=1, pad=1), rng.derive("probe")),
-            [x, p.weights, p.bias])
-
-
-def _build_conv_1x1(rng):
-    x = _rand(rng, 2, 3, 4, 5)
-    p = conv_params(rng, 3, 2, k=1)
-    return (_probed(lambda: conv2d(x, p, stride=1, pad=0), rng.derive("probe")),
-            [x, p.weights, p.bias])
-
-
-def _build_conv_frozen_weights(rng):
-    """Weights without requires_grad: backward skips dw but not dx and db."""
-    x = _rand(rng, 2, 3, 5, 5)
-    p = conv_params(rng, 3, 4, k=3)
-    p.weights.requires_grad = False
-    return (_probed(lambda: conv2d(x, p, stride=2, pad=1), rng.derive("probe")),
-            [x, p.bias])
+def _build_unary(op: Callable[[Tensor], Tensor], shape: tuple[int, ...], make=_rand):
+    """Registry entry for a probe of the one-input op on an input drawn by make."""
+    def build(rng):
+        x = make(rng, *shape)
+        return (_probed(lambda: op(x), rng.derive("probe")), [x])
+    return build
 
 
 def _build_fc(rng):
@@ -161,16 +153,6 @@ def _build_fc(rng):
     p = fc_params(rng, 5, 4)
     return (_probed(lambda: fully_connected(v, p), rng.derive("probe")),
             [v, p.weights, p.bias])
-
-
-def _build_instance_norm(rng):
-    x = _rand(rng, 2, 3, 4, 4)
-    return (_probed(lambda: instance_norm(x, 1e-5), rng.derive("probe")), [x])
-
-
-def _build_relu(rng):
-    x = _rand_off_kink(rng, 2, 3, 4, 4)
-    return (_probed(lambda: relu(x), rng.derive("probe")), [x])
 
 
 def _build_clamp(rng):
@@ -221,16 +203,6 @@ def _build_concat_slice(rng):
                     rng.derive("probe")), [a, b])
 
 
-def _build_upsample(rng):
-    x = _rand(rng, 2, 3, 3, 3)
-    return (_probed(lambda: upsample_nearest2x(x), rng.derive("probe")), [x])
-
-
-def _build_global_pool(rng):
-    x = _rand(rng, 2, 3, 4, 4)
-    return (_probed(lambda: global_avg_pool(x), rng.derive("probe")), [x])
-
-
 def _build_tad(rng):
     from .stats import DomainStatistics
     from .transfer import tad_forward
@@ -265,11 +237,6 @@ def _build_dst_block(rng):
             [x] + params.tensors())
 
 
-def _build_repeat_batch(rng):
-    x = _rand(rng, 2, 3, 4, 4)
-    return (_probed(lambda: repeat_batch(x, 3), rng.derive("probe")), [x])
-
-
 def _build_task_net(rng):
     from .taskseg import TaskNet
 
@@ -285,10 +252,10 @@ def _build_task_net(rng):
 
 
 REGISTRY: list[tuple[str, Callable]] = [
-    ("conv2d", _build_conv),
+    ("conv2d", _build_conv((2, 3, 6, 6), 4, k=3, stride=2, pad=1)),
     ("fully_connected", _build_fc),
-    ("instance_norm", _build_instance_norm),
-    ("relu", _build_relu),
+    ("instance_norm", _build_unary(lambda x: instance_norm(x, 1e-5), (2, 3, 4, 4))),
+    ("relu", _build_unary(relu, (2, 3, 4, 4), make=_rand_off_kink)),
     ("clamp_unit", _build_clamp),
     ("l1_loss", _build_l1),
     ("mse_loss", _build_mse),
@@ -296,15 +263,16 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("sigmoid_bce_with_logits", _build_bce),
     ("channel_affine", _build_channel_affine),
     ("concat_slice_channels", _build_concat_slice),
-    ("upsample_nearest2x", _build_upsample),
-    ("global_avg_pool", _build_global_pool),
+    ("upsample_nearest2x", _build_unary(upsample_nearest2x, (2, 3, 3, 3))),
+    ("global_avg_pool", _build_unary(global_avg_pool, (2, 3, 4, 4))),
     ("tad", _build_tad),
     ("dst_block", _build_dst_block),
     ("task_net", _build_task_net),
-    ("conv2d_stride1_pad1", _build_conv_same),
-    ("conv2d_1x1", _build_conv_1x1),
-    ("conv2d_frozen_weights", _build_conv_frozen_weights),
-    ("repeat_batch", _build_repeat_batch),
+    ("conv2d_stride1_pad1", _build_conv((2, 3, 5, 7), 4, k=3, stride=1, pad=1)),
+    ("conv2d_1x1", _build_conv((2, 3, 4, 5), 2, k=1, stride=1, pad=0)),
+    ("conv2d_frozen_weights", _build_conv((2, 3, 5, 5), 4, k=3, stride=2, pad=1,
+                                          frozen_weights=True)),
+    ("repeat_batch", _build_unary(lambda x: repeat_batch(x, 3), (2, 3, 4, 4))),
 ]
 
 

@@ -6,6 +6,9 @@ the config's output directory and writes its own there; :func:`run_phase` is
 the one driver.  The whole run is summarized in a RunRecord whose ``metrics``
 sub-document is a pure function of (config, seed): wall-clock times live
 outside it so records of identical runs compare byte-for-byte.
+
+Every dataset is a :class:`~mtda.toydata.Scenes`, and every batch and every
+``INFER_BATCH`` chunk is a selection of its array rows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .rng import SplitMix64
 from .stats import DomainStatistics, WelfordAccumulator
 from .taskseg import FEATURE_DIM, TaskNet
 from .tensorio import FormatError, read_archive, write_archive
-from .toydata import BUILTIN_DOMAINS, ToyScene, export, generate, load, write_ppm
+from .toydata import BUILTIN_DOMAINS, Scenes, export, generate, load, write_ppm
 from .transfer import (
     ENCODER_STRIDE,
     FEATURE_CHANNELS,
@@ -49,10 +52,10 @@ class PhaseError(RuntimeError):
 @dataclass
 class Datasets:
     target_names: list[str]
-    source_train: list[ToyScene]
-    source_eval: list[ToyScene]
-    targets_train: list[list[ToyScene]]
-    targets_eval: list[list[ToyScene]]
+    source_train: Scenes
+    source_eval: Scenes
+    targets_train: list[Scenes]
+    targets_eval: list[Scenes]
 
 
 @dataclass
@@ -92,30 +95,28 @@ def build_datasets(cfg: ExperimentConfig) -> Datasets:
     h = w = cfg.image_size
     eval_seed = SplitMix64(cfg.seed).derive("eval-split").state
 
-    def splits(name: str):
+    def splits(name: str) -> tuple[Scenes, Scenes]:
         src = _resolve_domain(name)
         if isinstance(src, Path):
             scenes = load(src)
-            if len(scenes) < cfg.train_scenes + cfg.eval_scenes:
-                raise ValueError(
-                    f"dataset {src} has {len(scenes)} scenes, need "
-                    f"{cfg.train_scenes + cfg.eval_scenes}"
-                )
-            tr, ev = (scenes[: cfg.train_scenes],
-                      scenes[cfg.train_scenes : cfg.train_scenes + cfg.eval_scenes])
+            n_tr, n = cfg.train_scenes, cfg.train_scenes + cfg.eval_scenes
+            if len(scenes) < n:
+                raise ValueError(f"dataset {src} has {len(scenes)} scenes, need {n}")
+            if scenes.images.shape[1:] != (3, h, w):
+                raise ValueError(f"dataset {name} has image shape {scenes.images.shape[1:]}; "
+                                 f"image_size={cfg.image_size} needs {(3, h, w)}")
+            parts = (Scenes(scenes.images[:n_tr], scenes.labels[:n_tr]),
+                     Scenes(scenes.images[n_tr:n], scenes.labels[n_tr:n]))
         else:
-            tr, ev = (generate(src, cfg.seed, cfg.train_scenes, h, w),
-                      generate(src, eval_seed, cfg.eval_scenes, h, w))
-        shapes = {(s.image.shape, s.label.shape) for s in tr + ev} - {((3, h, w), (h, w))}
-        if shapes:
-            raise ValueError(f"dataset {name} has (image, label) shapes {sorted(shapes)}; "
-                             f"image_size={cfg.image_size} needs ((3, {h}, {w}), ({h}, {w}))")
-        labels = np.concatenate([s.label.ravel() for s in tr + ev])
-        bad = labels[(labels != IGNORE_VALUE) & ((labels < 0) | (labels >= cfg.num_classes))]
-        if bad.size:
-            raise ValueError(f"dataset {name} has labels {np.unique(bad).tolist()} outside "
-                             f"[0,{cfg.num_classes}) and != ignore {IGNORE_VALUE}")
-        return tr, ev
+            parts = (generate(src, cfg.seed, cfg.train_scenes, h, w),
+                     generate(src, eval_seed, cfg.eval_scenes, h, w))
+        # generated labels too: they reach num_classes when it is below NUM_CLASSES
+        for labels in (part.labels for part in parts):
+            bad = labels[(labels != IGNORE_VALUE) & ((labels < 0) | (labels >= cfg.num_classes))]
+            if bad.size:
+                raise ValueError(f"dataset {name} has labels {np.unique(bad).tolist()} outside "
+                                 f"[0,{cfg.num_classes}) and != ignore {IGNORE_VALUE}")
+        return parts
 
     source_train, source_eval = splits(cfg.source)
     targets_train, targets_eval = [], []
@@ -140,12 +141,6 @@ def init_models(cfg: ExperimentConfig):
     return model, disc, pnet
 
 
-def _stack(scenes: list[ToyScene], idx) -> tuple[np.ndarray, np.ndarray]:
-    images = np.stack([scenes[i].image for i in idx])
-    labels = np.stack([scenes[i].label for i in idx])
-    return images, labels
-
-
 def stats_path(out_dir: Path, name: str) -> Path:
     """Statistics checkpoint of the target domain whose :func:`domain_name` is name."""
     return out_dir / f"stats_{name}.bin"
@@ -168,16 +163,17 @@ def _read_checkpoint(path: Path, shapes: dict[str, tuple], producer: str) -> dic
 
 def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
                 out_dir: Path) -> tuple[list[DomainStatistics], dict]:
-    """Stream every target training image through the encoder into one
-    accumulator per domain, then freeze and save the extracted statistics."""
+    """Stream every target training image, encoded ``INFER_BATCH`` at a time,
+    into one accumulator per domain, then freeze and save the extracted
+    statistics."""
     hf = cfg.image_size // ENCODER_STRIDE
     stats_list: list[DomainStatistics] = []
     metrics: dict = {}
     for name, scenes in zip(data.target_names, data.targets_train):
         acc = WelfordAccumulator(hf, hf, FEATURE_CHANNELS)
-        for scene in scenes:
-            feat = model.encode(Tensor(scene.image[None])).data[0]
-            acc.update(feat.transpose(1, 2, 0))
+        for start in range(0, len(scenes), INFER_BATCH):
+            for feat in model.encode(Tensor(scenes.images[start : start + INFER_BATCH])).data:
+                acc.update(feat.transpose(1, 2, 0))
         st = acc.extract()
         write_archive(stats_path(out_dir, name),
                       {"mu": st.mu, "sigma": st.sigma, "n": np.array(st.n)})
@@ -205,13 +201,11 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
     b = cfg.mtdt_batch
 
     def sample_batch(_i: int) -> TransferBatch:
-        src_idx = [rng.randint(len(data.source_train)) for _ in range(b)]
-        images, labels = _stack(data.source_train, src_idx)
-        target_images = []
-        for scenes in data.targets_train:
-            t_idx = [rng.randint(len(scenes)) for _ in range(b)]
-            target_images.append(Tensor(_stack(scenes, t_idx)[0]))
-        return TransferBatch(Tensor(images), labels, target_images)
+        src = data.source_train
+        idx = [rng.randint(len(src)) for _ in range(b)]
+        target_images = [Tensor(t.images[[rng.randint(len(t)) for _ in range(b)]])
+                         for t in data.targets_train]
+        return TransferBatch(Tensor(src.images[idx]), src.labels[idx], target_images)
 
     log_path = out_dir / "mtdt_log.jsonl"
     with log_path.open("w", encoding="utf-8") as fh:
@@ -246,42 +240,37 @@ def load_mtdt(cfg: ExperimentConfig, out_dir: Path):
     return model, disc
 
 
-def transfer_dataset(model: MtdtModel, scenes: list[ToyScene],
-                     stats: DomainStatistics) -> list[ToyScene]:
-    """Restyle every scene toward `stats`; labels carry over unchanged.
+def transfer_dataset(model: MtdtModel, scenes: Scenes, stats: DomainStatistics) -> Scenes:
+    """Restyle every scene toward `stats`; the result shares the labels array.
     Outputs are clamped to the image range real scenes live in."""
-    out: list[ToyScene] = []
+    moved = np.empty_like(scenes.images)
     for start in range(0, len(scenes), INFER_BATCH):
-        chunk = scenes[start : start + INFER_BATCH]
-        images, labels = _stack(chunk, range(len(chunk)))
-        moved = np.clip(model.transfer_image(Tensor(images), labels, stats).data, -1.0, 1.0)
-        out.extend(
-            ToyScene(image=moved[i].copy(), label=chunk[i].label.copy())
-            for i in range(len(chunk))
-        )
-    return out
+        rows = slice(start, start + INFER_BATCH)
+        out = model.transfer_image(Tensor(scenes.images[rows]), scenes.labels[rows], stats)
+        np.clip(out.data, -1.0, 1.0, out=moved[rows])
+    return Scenes(moved, scenes.labels)
 
 
 def phase_transfer(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
-                   stats_list: list[DomainStatistics], out_dir: Path) -> list[list[ToyScene]]:
+                   stats_list: list[DomainStatistics], out_dir: Path) -> list[Scenes]:
     """Restyle the source training set toward every target, export each
     restyled set, and write PPM previews of the first few scenes."""
     grid_dir = out_dir / "transfer_grid"
     grid_dir.mkdir(parents=True, exist_ok=True)
     previews = range(min(4, len(data.source_train)))
     for i in previews:
-        write_ppm(grid_dir / f"source_{i:02d}.ppm", data.source_train[i].image)
+        write_ppm(grid_dir / f"source_{i:02d}.ppm", data.source_train.images[i])
     transferred = []
     for name, stats in zip(data.target_names, stats_list):
         scenes = transfer_dataset(model, data.source_train, stats)
         export(scenes, out_dir / "transfers" / name)
         transferred.append(scenes)
         for i in previews:
-            write_ppm(grid_dir / f"{name}_{i:02d}.ppm", scenes[i].image)
+            write_ppm(grid_dir / f"{name}_{i:02d}.ppm", scenes.images[i])
     return transferred
 
 
-def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[list[ToyScene]]:
+def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[Scenes]:
     transferred = []
     for name in map(domain_name, cfg.targets):
         d = out_dir / "transfers" / name
@@ -291,7 +280,7 @@ def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[list[ToyScene
     return transferred
 
 
-def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[list[ToyScene]],
+def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[Scenes],
                 out_dir: Path, verify: bool = False) -> tuple[TaskNet, dict]:
     """Round-robin self-training over target domains with region selection."""
     rng = SplitMix64(cfg.seed).derive("adapt-sampling")
@@ -314,14 +303,11 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[list[To
     with diag_path.open("w", encoding="utf-8") as fh:
         for i in range(cfg.adapt_iterations):
             k = i % n_domains
-            tr_scenes = transferred[k]
-            tg_scenes = data.targets_train[k]
-            idx_tr = [rng.randint(len(tr_scenes)) for _ in range(b)]
-            idx_tg = [rng.randint(len(tg_scenes)) for _ in range(b)]
-            tr_images, tr_labels = _stack(tr_scenes, idx_tr)
-            tg_images, _ = _stack(tg_scenes, idx_tg)
+            tr, tg = transferred[k], data.targets_train[k]
+            idx_tr = [rng.randint(len(tr)) for _ in range(b)]
+            idx_tg = [rng.randint(len(tg)) for _ in range(b)]
             _, diag = bars_step(
-                state, net, opt, k, tr_images, tr_labels, tg_images,
+                state, net, opt, k, tr.images[idx_tr], tr.labels[idx_tr], tg.images[idx_tg],
                 filter_source=cfg.bars_source, train_target=cfg.bars_target,
                 verify=verify,
             )
@@ -348,13 +334,12 @@ def load_task(cfg: ExperimentConfig, out_dir: Path) -> TaskNet:
     return net
 
 
-def evaluate_net(net: TaskNet, scenes: list[ToyScene],
+def evaluate_net(net: TaskNet, scenes: Scenes,
                  num_classes: int) -> tuple[ConfusionMatrix, np.ndarray, float]:
     cm = ConfusionMatrix(num_classes)
     for start in range(0, len(scenes), INFER_BATCH):
-        chunk = scenes[start : start + INFER_BATCH]
-        images, labels = _stack(chunk, range(len(chunk)))
-        cm.accumulate(net.predict(images), labels)
+        rows = slice(start, start + INFER_BATCH)
+        cm.accumulate(net.predict(scenes.images[rows]), scenes.labels[rows])
     iou, mean = miou(cm)
     return cm, iou, mean
 
@@ -381,8 +366,7 @@ def phase_eval(cfg: ExperimentConfig, net: TaskNet, data: Datasets,
 
 
 def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
-                               scenes: list[ToyScene],
-                               stats_list: list[DomainStatistics]) -> float:
+                               scenes: Scenes, stats_list: list[DomainStatistics]) -> float:
     """Fraction of held-out restyled images whose domain head picks their target.
 
     The images are restyled by :func:`transfer_dataset`, so the critic sees
@@ -390,8 +374,7 @@ def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
     them."""
     correct = 0
     for k, stats in enumerate(stats_list):
-        moved = np.stack([s.image for s in transfer_dataset(model, scenes, stats)])
-        _, dom = disc.forward(Tensor(moved))
+        _, dom = disc.forward(Tensor(transfer_dataset(model, scenes, stats).images))
         correct += int((np.argmax(dom.data, axis=1) == k).sum())
     return correct / (len(stats_list) * len(scenes))
 
@@ -462,11 +445,11 @@ def run_source_only_baseline(cfg: ExperimentConfig,
     opt = SgdMomentum(lr=cfg.task_lr, momentum=cfg.task_momentum,
                       weight_decay=cfg.task_weight_decay)
     for _ in range(cfg.adapt_iterations):
-        idx = [rng.randint(len(data.source_train)) for _ in range(cfg.task_batch)]
-        images, labels = _stack(data.source_train, idx)
+        src = data.source_train
+        idx = [rng.randint(len(src)) for _ in range(cfg.task_batch)]
         with Tape() as tape:
-            logits, _ = net.forward(Tensor(images))
-            loss = softmax_cross_entropy(logits, labels)
+            logits, _ = net.forward(Tensor(src.images[idx]))
+            loss = softmax_cross_entropy(logits, src.labels[idx])
         opt.step(net.params.named(), tape.backward(loss, net.params.tensors()))
     results = {}
     for name, scenes in zip(data.target_names, data.targets_eval):

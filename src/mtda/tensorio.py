@@ -8,7 +8,9 @@ names and shapes for inspection.
 
 Archives are streamed entry by entry to ``<path>.tmp`` and moved over
 ``<path>`` with ``os.replace`` (the sidecar likewise), so an interrupted
-write leaves the previous file, never a truncated one.
+write leaves the previous file, never a truncated one.  Readers likewise
+take each record from the open file straight into its own array, after
+checking its bounds against the file's size.
 """
 
 from __future__ import annotations
@@ -38,28 +40,44 @@ def pack_tensor(a: np.ndarray) -> bytes:
     return _tensor_header(a.shape) + a.astype("<f8").tobytes()
 
 
-def _u32(buf: bytes, offset: int, path: str, what: str) -> int:
-    if offset + 4 > len(buf):
+def _u32(fh, size: int, path: Path, what: str) -> int:
+    offset = fh.tell()
+    if offset + 4 > size:
         raise FormatError(f"{path}: truncated {what} at byte {offset}")
-    return struct.unpack_from("<I", buf, offset)[0]
+    return struct.unpack("<I", fh.read(4))[0]
 
 
-def unpack_tensor(buf: bytes, offset: int, path: str) -> tuple[np.ndarray, int]:
-    if buf[offset : offset + 8] != TENSOR_MAGIC:
+def _read_record(fh, size: int, path: Path) -> np.ndarray:
+    """The tensor record at fh's position in a file of `size` bytes; every
+    bound is checked against that size before anything is allocated."""
+    offset = fh.tell()
+    if fh.read(8) != TENSOR_MAGIC:
         raise FormatError(f"{path}: bad tensor magic at byte {offset}")
-    offset += 8
-    rank = _u32(buf, offset, path, "tensor rank")
-    offset += 4
-    if offset + 4 * rank > len(buf):
+    rank = _u32(fh, size, path, "tensor rank")
+    offset = fh.tell()
+    if offset + 4 * rank > size:
         raise FormatError(f"{path}: truncated dims of rank-{rank} tensor at byte {offset}")
-    dims = struct.unpack_from(f"<{rank}I", buf, offset)
-    offset += 4 * rank
-    count = math.prod(dims)
-    end = offset + 8 * count
-    if end > len(buf):
-        raise FormatError(f"{path}: truncated payload, need {end} bytes have {len(buf)}")
-    data = np.frombuffer(buf, dtype="<f8", count=count, offset=offset)
-    return data.reshape(dims).astype(np.float64), end
+    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+    end = offset + 4 * rank + 8 * math.prod(dims)
+    truncated = FormatError(f"{path}: truncated payload, need {end} bytes have {size}")
+    if end > size:
+        raise truncated
+    a = np.empty(dims, dtype="<f8")
+    # reshape(-1).view, unlike memoryview.cast, also takes zero-size arrays
+    if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:  # the file shrank
+        raise truncated
+    return a.astype(np.float64, copy=False)
+
+
+def _read_file(path: str | Path, read, what: str):
+    """read(fh, size, path) on the whole file at path, which it must consume."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        out = read(fh, size, path)
+        if fh.tell() != size:
+            raise FormatError(f"{path}: {size - fh.tell()} trailing bytes after {what}")
+    return out
 
 
 def write_tensor(path: str | Path, a: np.ndarray) -> None:
@@ -67,11 +85,7 @@ def write_tensor(path: str | Path, a: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    buf = Path(path).read_bytes()
-    a, end = unpack_tensor(buf, 0, str(path))
-    if end != len(buf):
-        raise FormatError(f"{path}: {len(buf) - end} trailing bytes after tensor record")
-    return a
+    return _read_file(path, _read_record, "tensor record")
 
 
 @contextmanager
@@ -102,25 +116,24 @@ def write_archive(path: str | Path, named: dict[str, np.ndarray]) -> None:
         fh.write("".join(manifest).encode("utf-8"))
 
 
-def read_archive(path: str | Path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    buf = path.read_bytes()
-    if buf[:8] != ARCHIVE_MAGIC:
+def _read_entries(fh, size: int, path: Path) -> dict[str, np.ndarray]:
+    if fh.read(8) != ARCHIVE_MAGIC:
         raise FormatError(f"{path}: bad archive magic")
-    count = _u32(buf, 8, str(path), "entry count")
-    offset = 12
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        nlen = _u32(buf, offset, str(path), "name length")
-        offset += 4
-        if offset + nlen > len(buf):
+    for _ in range(_u32(fh, size, path, "entry count")):
+        nlen = _u32(fh, size, path, "name length")
+        offset = fh.tell()
+        if offset + nlen > size:
             raise FormatError(f"{path}: truncated name at byte {offset}")
         try:
-            name = buf[offset : offset + nlen].decode("utf-8")
+            name = fh.read(nlen).decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"{path}: name at byte {offset} is not utf-8") from e
-        offset += nlen
-        out[name], offset = unpack_tensor(buf, offset, str(path))
-    if offset != len(buf):
-        raise FormatError(f"{path}: {len(buf) - offset} trailing bytes after archive")
+        out[name] = _read_record(fh, size, path)
     return out
+
+
+def read_archive(path: str | Path) -> dict[str, np.ndarray]:
+    """Every entry of the archive at path, each read from the file straight
+    into its own array."""
+    return _read_file(path, _read_entries, "archive")

@@ -12,9 +12,10 @@ stripe are almost indistinguishable in the source palette but far apart in
 both target palettes, so label/appearance conflicts actually occur after
 style transfer and region selection has something to reject.
 
-A dataset on disk, generated or restyled, is one ``tensorio`` archive
-``<dir>/scenes.bin`` of ``images`` (N, 3, H, W) and ``labels`` (N, H, W), written
-atomically: streamed to a temporary file and moved into place whole.
+A dataset, generated, loaded or restyled, is a :class:`Scenes`: the stacked
+``images`` (N, 3, H, W) and ``labels`` (N, H, W).  On disk it is the same two
+arrays in one ``tensorio`` archive ``<dir>/scenes.bin``, written atomically:
+streamed to a temporary file and moved into place whole.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ class DomainSpec:
 class ToyScene:
     image: np.ndarray   # (3, H, W) float64 in [-1, 1]
     label: np.ndarray   # (H, W) int64 in [0, NUM_CLASSES)
+
+
+@dataclass(frozen=True)
+class Scenes:
+    """A dataset: scene i is ``images[i]`` with ``labels[i]``."""
+
+    images: np.ndarray  # (N, 3, H, W) float64 in [-1, 1]
+    labels: np.ndarray  # (N, H, W) int64
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, i: int) -> ToyScene:
+        """Scene i as views into the arrays."""
+        return ToyScene(image=self.images[i], label=self.labels[i])
 
 
 _SOURCE_COLORS = (
@@ -133,10 +149,12 @@ def _place_shapes(rng: SplitMix64, h: int, w: int) -> np.ndarray:
     return label
 
 
-def generate_scene(spec: DomainSpec, seed: int, index: int, h: int, w: int) -> ToyScene:
-    base = SplitMix64(seed)
+def _draw_scene(spec: DomainSpec, base: SplitMix64, index: int,
+                image: np.ndarray, label: np.ndarray) -> None:
+    """Draw scene `index` into the (3, H, W) and (H, W) views image and label."""
+    _, h, w = image.shape
     for attempt in range(_MAX_ATTEMPTS):
-        label = _place_shapes(base.derive(index, "content", attempt), h, w)
+        label[:] = _place_shapes(base.derive(index, "content", attempt), h, w)
         if len(np.unique(label)) == NUM_CLASSES:
             break
     else:
@@ -149,30 +167,33 @@ def generate_scene(spec: DomainSpec, seed: int, index: int, h: int, w: int) -> T
     mean = np.asarray(spec.color_mean)[:, None, None]
     std = np.asarray(spec.color_std)[:, None, None]
     offsets = np.asarray(spec.class_offsets)          # (K, 3)
-    image = mean + offsets[label].transpose(2, 0, 1) + std * spec.noise_amplitude * eta
-    return ToyScene(image=np.clip(image, -1.0, 1.0), label=label)
+    np.clip(mean + offsets[label].transpose(2, 0, 1) + std * spec.noise_amplitude * eta,
+            -1.0, 1.0, out=image)
 
 
-def generate(spec: DomainSpec, seed: int, count: int, h: int, w: int) -> list[ToyScene]:
+def generate(spec: DomainSpec, seed: int, count: int, h: int, w: int) -> Scenes:
     if h < 16 or w < 16:
         raise ValueError(f"image size must be at least 16x16, got {h}x{w}")
-    return [generate_scene(spec, seed, i, h, w) for i in range(count)]
+    scenes = Scenes(np.empty((count, 3, h, w)), np.empty((count, h, w), dtype=np.int64))
+    base = SplitMix64(seed)
+    for i in range(count):
+        _draw_scene(spec, base, i, scenes.images[i], scenes.labels[i])
+    return scenes
 
 
 # ---------------------------------------------------------------------------
-# on-disk layout: one archive of stacked images and labels
+# on-disk layout: the two arrays of a Scenes in one archive
 
 
-def export(scenes: list[ToyScene], out_dir: str | Path) -> Path:
+def export(scenes: Scenes, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "scenes.bin"
-    write_archive(path, {"images": np.stack([s.image for s in scenes]),
-                         "labels": np.stack([s.label for s in scenes])})
+    write_archive(path, {"images": scenes.images, "labels": scenes.labels})
     return path
 
 
-def load(dataset_dir: str | Path) -> list[ToyScene]:
+def load(dataset_dir: str | Path) -> Scenes:
     path = Path(dataset_dir) / "scenes.bin"
     if not path.is_file():
         raise FileNotFoundError(f"no scenes.bin in dataset dir {dataset_dir}")
@@ -183,8 +204,18 @@ def load(dataset_dir: str | Path) -> list[ToyScene]:
             or labels != images[:1] + images[2:]):
         raise FormatError(f"{path}: entries {shapes}, expected images (N, 3, H, W) "
                           f"and labels (N, H, W)")
-    labels = np.rint(arrays["labels"]).astype(np.int64)
-    return [ToyScene(image=image, label=label) for image, label in zip(arrays["images"], labels)]
+    images, labels = arrays["images"], arrays["labels"]
+    # reductions, not elementwise masks; min and max are NaN if any element is,
+    # and every comparison with NaN is false
+    if images.size and not -1.0 <= images.min() <= images.max() <= 1.0:
+        raise FormatError(f"{path}: images hold pixels that are not finite or outside [-1, 1]")
+    if labels.size and not -2.0**63 <= labels.min() <= labels.max() < 2.0**63:
+        raise FormatError(f"{path}: labels are not finite integers")
+    ints = labels.astype(np.int64)
+    labels -= ints  # in place: each label's fractional part is left
+    if labels.any():
+        raise FormatError(f"{path}: labels are not finite integers")
+    return Scenes(images, ints)
 
 
 def write_ppm(path: str | Path, image: np.ndarray) -> None:

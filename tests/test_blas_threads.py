@@ -28,7 +28,7 @@ digest = hashlib.sha256()
 
 def images(spec, count, size):
     scenes = generate(spec, seed=3, count=count, h=size, w=size)
-    return np.stack([s.image for s in scenes]), np.stack([s.label for s in scenes])
+    return scenes.images, scenes.labels
 
 def absorb(*arrays):
     for a in arrays:

@@ -86,6 +86,14 @@ def test_repeated_target_fails_before_any_artifact(tmp_path):
     assert not out.exists()
 
 
+def test_negative_seed_fails_before_any_artifact(mini_cfg, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", mini_cfg[1], "--seed", "-1", "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nested_dataset_dir_target_names_its_artifacts(mini_cfg, tmp_path):
     from mtda.toydata import BUILTIN_DOMAINS, export, generate
 

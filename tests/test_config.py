@@ -89,6 +89,14 @@ def test_validation_bounds():
             ExperimentConfig(targets=targets).validate()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 6])
+def test_seed_must_be_u64(seed):
+    # each of these ran the stream of a valid seed under another config hash
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(seed=seed).validate()
+    ExperimentConfig(seed=seed % 2**64).validate()
+
+
 @pytest.mark.parametrize("name", ["mtdt_beta1", "mtdt_beta2"])
 @pytest.mark.parametrize("beta", [1.0, 1.5])
 def test_adam_betas_must_be_below_one(name, beta):

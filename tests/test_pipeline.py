@@ -79,7 +79,7 @@ def test_out_of_range_label_fails_in_data_phase(tmp_path):
     from mtda.toydata import BUILTIN_DOMAINS, export, generate
 
     scenes = generate(BUILTIN_DOMAINS["source"], 5, 8, 32, 32)
-    scenes[3].label[0, 0] = 7
+    scenes.labels[3, 0, 0] = 7
     data_dir = tmp_path / "labelled"
     export(scenes, data_dir)
     cfg = mini_cfg(tmp_path, source=str(data_dir))
@@ -94,8 +94,8 @@ def test_wrong_image_size_fails_in_data_phase(tmp_path):
     data_dir = tmp_path / "big"
     export(generate(BUILTIN_DOMAINS["night"], 5, 8, 64, 64), data_dir)
     cfg = mini_cfg(tmp_path, targets=("dusk", str(data_dir)))
-    with pytest.raises(PhaseError, match=r"phase 'data'.*big has \(image, label\) shapes "
-                                         r"\[\(\(3, 64, 64\), \(64, 64\)\)\]"):
+    with pytest.raises(PhaseError, match=r"phase 'data'.*big has image shape \(3, 64, 64\); "
+                                         r"image_size=32 needs \(3, 32, 32\)"):
         run_pipeline(cfg)
     assert not list((tmp_path / "run").glob("stats_*.bin"))
 
@@ -131,10 +131,10 @@ def test_stats_equal_raw_image_statistics_on_zero_noise_domain(tmp_path):
                                      (0.0, 0.3, 0.0), (0.0, 0.0, 0.3)))
     scenes = generate(spec, seed=3, count=20, h=16, w=16)
     acc = WelfordAccumulator(16, 16, 3)
-    for s in scenes:
-        acc.update(s.image.transpose(1, 2, 0))
+    for image in scenes.images:
+        acc.update(image.transpose(1, 2, 0))
     st = acc.extract()
-    stream = np.stack([s.image.transpose(1, 2, 0) for s in scenes]).reshape(-1, 3)
+    stream = scenes.images.transpose(0, 2, 3, 1).reshape(-1, 3)
     mu = stream.mean(axis=0)
     var = ((stream - mu) ** 2).sum(axis=0) / ((len(scenes) - 1) * 16 * 16)
     np.testing.assert_allclose(st.mu, mu, atol=1e-8)
@@ -218,7 +218,7 @@ def test_domain_classifier_scores_the_clamped_restyled_images(tmp_path):
     forward = disc.forward
     restyled, correct = [], 0
     for k, stats in enumerate(stats_list):
-        images = np.stack([s.image for s in transfer_dataset(model, data.source_eval, stats)])
+        images = transfer_dataset(model, data.source_eval, stats).images
         _, dom = forward(Tensor(images))
         correct += int((np.argmax(dom.data, axis=1) == k).sum())
         restyled.append(images)

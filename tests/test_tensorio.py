@@ -15,7 +15,6 @@ from mtda.tensorio import (
     pack_tensor,
     read_archive,
     read_tensor,
-    unpack_tensor,
     write_archive,
     write_tensor,
 )
@@ -128,11 +127,13 @@ def test_archive_cut_at_every_offset_raises_format_error(named):
     assert list(back) == list(named)
 
 
-def test_unpack_tensor_cut_at_every_offset_raises_format_error():
+def test_tensor_cut_at_every_offset_raises_format_error(tmp_path):
     blob = pack_tensor(np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "cut.bin"
     for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
         with pytest.raises(FormatError):
-            unpack_tensor(blob[:cut], 0, "cut")
+            read_tensor(path)
 
 
 def test_archive_name_not_utf8(tmp_path):
@@ -142,7 +143,8 @@ def test_archive_name_not_utf8(tmp_path):
         read_archive(path)
 
 
-def test_huge_rank_is_truncation_not_struct_error():
-    blob = b"ADASTNSR" + struct.pack("<I", 2**31)
+def test_huge_rank_is_truncation_not_struct_error(tmp_path):
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"ADASTNSR" + struct.pack("<I", 2**31))
     with pytest.raises(FormatError, match="truncated dims"):
-        unpack_tensor(blob, 0, "huge")
+        read_tensor(path)

@@ -1,5 +1,7 @@
 """Benchmark generator: determinism, analytic color oracles, on-disk format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mtda.toydata import (
     DEFAULT_TARGETS,
     NUM_CLASSES,
     DomainSpec,
+    Scenes,
     export,
     generate,
     load,
@@ -32,9 +35,15 @@ class TestGenerate:
     def test_deterministic_bitwise(self):
         a = generate(DEFAULT_SOURCE, seed=9, count=5, h=32, w=32)
         b = generate(DEFAULT_SOURCE, seed=9, count=5, h=32, w=32)
-        for sa, sb in zip(a, b):
-            assert (sa.image == sb.image).all()
-            assert (sa.label == sb.label).all()
+        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+    def test_arrays_and_scene_views(self):
+        scenes = generate(DEFAULT_SOURCE, seed=9, count=3, h=16, w=20)
+        assert scenes.images.shape == (3, 3, 16, 20) and scenes.images.dtype == np.float64
+        assert scenes.labels.shape == (3, 16, 20) and scenes.labels.dtype == np.int64
+        assert len(scenes) == 3
+        assert scenes[1].image.base is scenes.images and scenes[1].label.base is scenes.labels
 
     def test_every_class_present_in_every_scene(self):
         for scene in generate(DEFAULT_SOURCE, seed=2, count=20, h=32, w=32):
@@ -43,9 +52,8 @@ class TestGenerate:
     def test_labels_identical_across_domains(self):
         src = generate(DEFAULT_SOURCE, seed=5, count=6, h=32, w=32)
         for spec in DEFAULT_TARGETS:
-            tgt = generate(spec, seed=5, count=6, h=32, w=32)
-            for a, b in zip(src, tgt):
-                assert (a.label == b.label).all()
+            np.testing.assert_array_equal(generate(spec, seed=5, count=6, h=32, w=32).labels,
+                                          src.labels)
 
     def test_zero_noise_mean_matches_analytic_mixture(self):
         spec = quiet_spec()
@@ -67,15 +75,15 @@ class TestGenerate:
         moved = quiet_spec("b", mean=(0.1, -0.2, 0.05))
         sa = generate(base, seed=4, count=8, h=32, w=32)
         sb = generate(moved, seed=4, count=8, h=32, w=32)
-        delta = np.mean([y.image - x.image for x, y in zip(sa, sb)], axis=(0, 2, 3))
+        delta = (sb.images - sa.images).mean(axis=(0, 2, 3))
         np.testing.assert_allclose(delta, [0.1, -0.2, 0.05], atol=1e-12)
 
     def test_values_clamped(self):
         spec = DomainSpec(name="loud", color_mean=(0.9, 0.9, 0.9),
                           color_std=(1.0, 1.0, 1.0), noise_amplitude=3.0,
                           class_offsets=((0.5,) * 3,) * 4)
-        for s in generate(spec, seed=1, count=2, h=16, w=16):
-            assert s.image.max() <= 1.0 and s.image.min() >= -1.0
+        images = generate(spec, seed=1, count=2, h=16, w=16).images
+        assert images.max() <= 1.0 and images.min() >= -1.0
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="16x16"):
@@ -90,10 +98,20 @@ class TestExport:
         scenes = generate(DEFAULT_SOURCE, seed=6, count=4, h=16, w=16)
         export(scenes, tmp_path / "ds")
         back = load(tmp_path / "ds")
-        assert len(back) == 4
-        for a, b in zip(scenes, back):
-            assert (a.image == b.image).all()
-            assert (a.label == b.label).all()
+        assert back.labels.dtype == np.int64
+        np.testing.assert_array_equal(back.images, scenes.images)
+        np.testing.assert_array_equal(back.labels, scenes.labels)
+
+    def test_load_peak_memory_is_below_one_and_a_half_datasets(self, tmp_path):
+        export(Scenes(np.zeros((32, 3, 64, 64)), np.ones((32, 64, 64), dtype=np.int64)),
+               tmp_path / "ds")
+        tracemalloc.start()
+        try:
+            back = load(tmp_path / "ds")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (back.images.nbytes + back.labels.nbytes)
 
     def test_one_archive_per_dataset(self, tmp_path):
         path = export(generate(DEFAULT_SOURCE, seed=6, count=3, h=16, w=16), tmp_path / "ds")
@@ -123,7 +141,13 @@ class TestExport:
         lambda a: a.update(extra=np.zeros(1)),
         lambda a: a.update(labels=a["labels"][:-1]),
         lambda a: a.update(images=a["images"][:, :2]),
-    ], ids=["missing-labels", "extra-entry", "labels-n", "two-channels"])
+        lambda a: np.put(a["labels"], 5, 1.5),
+        lambda a: np.put(a["labels"], 5, np.nan),
+        lambda a: np.put(a["labels"], 5, 1e30),
+        lambda a: np.put(a["images"], 5, np.nan),
+        lambda a: np.put(a["images"], 5, 7.0),
+    ], ids=["missing-labels", "extra-entry", "labels-n", "two-channels", "fractional-label",
+            "nan-label", "huge-label", "nan-pixel", "pixel-outside-range"])
     def test_malformed_archive_names_file(self, tmp_path, damage):
         path = export(generate(DEFAULT_SOURCE, seed=6, count=2, h=16, w=16), tmp_path / "ds")
         arrays = read_archive(path)

@@ -260,9 +260,9 @@ def loss_setup(n):
     targets = [generate(DEFAULT_TARGETS[k % len(DEFAULT_TARGETS)], seed=2 + k, count=2,
                         h=32, w=32) for k in range(n)]
     batch = TransferBatch(
-        source_image=Tensor(np.stack([s.image for s in src])),
-        source_label=np.stack([s.label for s in src]),
-        target_images=[Tensor(np.stack([s.image for s in t])) for t in targets],
+        source_image=Tensor(src.images),
+        source_label=src.labels,
+        target_images=[Tensor(t.images) for t in targets],
     )
     rng = SplitMix64(41)
     return (MtdtModel(4, seed.derive("m")), MultiHeadDiscriminator(n, seed.derive("d")),
@@ -316,12 +316,10 @@ class TestLossStack:
         self.pnet = PerceptualNet(3)
         src = generate(DEFAULT_SOURCE, seed=1, count=2, h=32, w=32)
         self.batch = TransferBatch(
-            source_image=Tensor(np.stack([s.image for s in src])),
-            source_label=np.stack([s.label for s in src]),
-            target_images=[
-                Tensor(np.stack([s.image for s in generate(spec, seed=2, count=2, h=32, w=32)]))
-                for spec in DEFAULT_TARGETS
-            ],
+            source_image=Tensor(src.images),
+            source_label=src.labels,
+            target_images=[Tensor(generate(spec, seed=2, count=2, h=32, w=32).images)
+                           for spec in DEFAULT_TARGETS],
         )
         rng = SplitMix64(31)
         self.stats = [rand_stats(rng, 32) for _ in range(2)]
