@@ -76,24 +76,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __neg__(self):
-        return neg(self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 class Tape:
@@ -333,15 +320,13 @@ def clamp_unit(x: Tensor) -> Tensor:
     return _emit(np.clip(x.data, -1.0, 1.0), (x,), vjp)
 
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = _as_tensor(b)
-    if a.shape != b.shape and a.data.size != 1 and b.data.size != 1:
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     out = a.data + b.data
 
     def vjp(g: np.ndarray):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return g, g
 
     return _emit(out, (a, b), vjp)
 
@@ -354,23 +339,18 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product of equal shapes; a Python number b becomes a 0-d tensor."""
     if not isinstance(b, Tensor):
-        b = _as_tensor(b)
-    if a.shape != b.shape and a.data.size != 1 and b.data.size != 1:
+        b = Tensor(b)
+    if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     out = a.data * b.data
     ad, bd = a.data, b.data
 
     def vjp(g: np.ndarray):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return g * bd, g * ad
 
     return _emit(out, (a, b), vjp)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum()).reshape(shape)
 
 
 def tensor_sum(x: Tensor) -> Tensor:

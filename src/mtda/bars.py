@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import IGNORE_VALUE, Tape, Tensor, softmax_cross_entropy
-from .labelops import nn_downsample, nn_upsample
 from .stats import RunningMeanBank
 from .taskseg import TaskNet
 
@@ -147,7 +146,8 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
               verify: bool = False) -> tuple[float, BarsDiagnostics]:
     """One self-training step on one target domain.
 
-    transferred_image/target_image: (B,3,H,W); source_label: (B,H,W).
+    transferred_image/target_image: (B,3,H,W); source_label: (B,H,W), the
+    grid of the task net's logits and features (input resolution).
     ``filter_source=False`` trains the restyled images with the full source
     labels; ``train_target=False`` drops the pseudo-label term entirely (the
     two ablation axes).  Banks are always updated so the other direction's
@@ -164,9 +164,8 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
         feats_src = feats_src_t.data
         feats_tgt = feats_tgt_t.data
 
-        factor = transferred_image.shape[2] // feats_src.shape[2]
-        lab_src = nn_downsample(np.asarray(source_label), factor)
-        lab_tgt = np.argmax(nn_downsample(logits_tgt.data, factor), axis=1)
+        lab_src = np.asarray(source_label)
+        lab_tgt = np.argmax(logits_tgt.data, axis=1)
 
         if filter_source:
             bars_src, cold_keeps = _select_with_cold_start(
@@ -178,17 +177,18 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
         cold_keeps += n_cold
 
         if verify:
-            _check_selection(feats_src, lab_src, bars_src, state.target_banks[domain],
-                             enabled=filter_source, what=f"restyled[{domain}]")
+            if filter_source:
+                _check_selection(feats_src, lab_src, bars_src, state.target_banks[domain],
+                                 what=f"restyled[{domain}]")
             _check_selection(feats_tgt, lab_tgt, bars_tgt, state.transferred_banks[domain],
-                             enabled=True, what=f"target[{domain}]")
+                             what=f"target[{domain}]")
 
         kept_src = float((bars_src != IGNORE_VALUE).mean())
         kept_tgt = float((bars_tgt != IGNORE_VALUE).mean())
 
-        loss = softmax_cross_entropy(logits_src, nn_upsample(bars_src, factor))
+        loss = softmax_cross_entropy(logits_src, bars_src)
         if train_target:
-            loss = loss + softmax_cross_entropy(logits_tgt, nn_upsample(bars_tgt, factor))
+            loss = loss + softmax_cross_entropy(logits_tgt, bars_tgt)
 
         n_kept = (bars_src != IGNORE_VALUE).sum()
         if train_target:
@@ -220,11 +220,9 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
 
 
 def _check_selection(features: np.ndarray, raw: np.ndarray, kept: np.ndarray,
-                     bank: RunningMeanBank, enabled: bool, what: str) -> None:
+                     bank: RunningMeanBank, what: str) -> None:
     """Exhaustive soundness check: every filtered-kept pixel's nearest centroid
     is its own label."""
-    if not enabled:
-        return
     init = bank.initialized()
     if not init.any():
         return

@@ -34,14 +34,10 @@ class SgdMomentum:
         for (name, p), g in list(zip(named_params, grads, strict=True)):
             if g is None:
                 continue
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(name)
-                v = g if v is None else self.momentum * v + g
-                self._velocity[name] = v
-            else:
-                v = g
+            g = g + self.weight_decay * p.data
+            v = self._velocity.get(name)
+            v = g if v is None else self.momentum * v + g
+            self._velocity[name] = v
             p.data = p.data - self.lr * v
 
 
@@ -65,8 +61,7 @@ class Adam:
         for (name, p), g in pairs:
             if g is None:
                 continue
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
+            g = g + self.weight_decay * p.data
             m = self._m.get(name, 0.0)
             s = self._s.get(name, 0.0)
             m = self.beta1 * m + (1.0 - self.beta1) * g

@@ -67,17 +67,7 @@ class RunRecord:
     artifacts: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "metrics": self.metrics,
-                "final_miou": self.final_miou,
-                "wall_clock": self.wall_clock,
-                "artifacts": self.artifacts,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _resolve_domain(name: str):
@@ -86,6 +76,19 @@ def _resolve_domain(name: str):
     if Path(name).is_dir():
         return Path(name)
     raise FileNotFoundError(f"domain {name!r} is neither a builtin name nor a dataset dir")
+
+
+def _check_scenes(cfg: ExperimentConfig, scenes: Scenes, what: str) -> None:
+    """Reject images not of ``image_size`` and labels outside [0, num_classes) or ignore."""
+    shape = (3, cfg.image_size, cfg.image_size)
+    if scenes.images.shape[1:] != shape:
+        raise ValueError(f"{what} has image shape {scenes.images.shape[1:]}; "
+                         f"image_size={cfg.image_size} needs {shape}")
+    labels = scenes.labels
+    bad = labels[(labels != IGNORE_VALUE) & ((labels < 0) | (labels >= cfg.num_classes))]
+    if bad.size:
+        raise ValueError(f"{what} has labels {np.unique(bad).tolist()} outside "
+                         f"[0,{cfg.num_classes}) and != ignore {IGNORE_VALUE}")
 
 
 def build_datasets(cfg: ExperimentConfig) -> Datasets:
@@ -102,20 +105,14 @@ def build_datasets(cfg: ExperimentConfig) -> Datasets:
             n_tr, n = cfg.train_scenes, cfg.train_scenes + cfg.eval_scenes
             if len(scenes) < n:
                 raise ValueError(f"dataset {src} has {len(scenes)} scenes, need {n}")
-            if scenes.images.shape[1:] != (3, h, w):
-                raise ValueError(f"dataset {name} has image shape {scenes.images.shape[1:]}; "
-                                 f"image_size={cfg.image_size} needs {(3, h, w)}")
             parts = (Scenes(scenes.images[:n_tr], scenes.labels[:n_tr]),
                      Scenes(scenes.images[n_tr:n], scenes.labels[n_tr:n]))
         else:
             parts = (generate(src, cfg.seed, cfg.train_scenes, h, w),
                      generate(src, eval_seed, cfg.eval_scenes, h, w))
         # generated labels too: they reach num_classes when it is below NUM_CLASSES
-        for labels in (part.labels for part in parts):
-            bad = labels[(labels != IGNORE_VALUE) & ((labels < 0) | (labels >= cfg.num_classes))]
-            if bad.size:
-                raise ValueError(f"dataset {name} has labels {np.unique(bad).tolist()} outside "
-                                 f"[0,{cfg.num_classes}) and != ignore {IGNORE_VALUE}")
+        for part in parts:
+            _check_scenes(cfg, part, f"dataset {name}")
         return parts
 
     source_train, source_eval = splits(cfg.source)
@@ -158,6 +155,9 @@ def _read_checkpoint(path: Path, shapes: dict[str, tuple], producer: str) -> dic
     if found != shapes:
         raise FormatError(f"{path}: unexpected entries {sorted(found.items() - shapes.items())}, "
                           f"missing {sorted(shapes.items() - found.items())}")
+    nonfinite = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
+    if nonfinite:
+        raise FormatError(f"{path}: entries {nonfinite} hold values that are not finite")
     return arrays
 
 
@@ -189,8 +189,13 @@ def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
 def load_stats(cfg: ExperimentConfig, out_dir: Path) -> list[DomainStatistics]:
     stats_list = []
     for name in map(domain_name, cfg.targets):
-        arrays = _read_checkpoint(stats_path(out_dir, name), _STATS_SHAPES, "stats")
-        stats_list.append(DomainStatistics(arrays["mu"], arrays["sigma"], int(arrays["n"])))
+        path = stats_path(out_dir, name)
+        arrays = _read_checkpoint(path, _STATS_SHAPES, "stats")
+        n, sigma = float(arrays["n"]), arrays["sigma"]
+        if n < 2 or not n.is_integer() or (sigma < 0).any():  # as WelfordAccumulator.extract
+            raise FormatError(f"{path}: needs an integer n >= 2 and sigma >= 0, "
+                              f"got n = {n:g} and least sigma {sigma.min():g}")
+        stats_list.append(DomainStatistics(arrays["mu"], sigma, int(n)))
     return stats_list
 
 
@@ -276,7 +281,12 @@ def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[Scenes]:
         d = out_dir / "transfers" / name
         if not (d / "scenes.bin").is_file():
             raise FileNotFoundError(f"missing transferred dataset {d}; run 'transfer' first")
-        transferred.append(load(d))
+        scenes = load(d)
+        if len(scenes) != cfg.train_scenes:
+            raise ValueError(f"{d}/scenes.bin has {len(scenes)} scenes; "
+                             f"train_scenes={cfg.train_scenes}")
+        _check_scenes(cfg, scenes, f"{d}/scenes.bin")
+        transferred.append(scenes)
     return transferred
 
 

@@ -57,7 +57,6 @@ from .autodiff import (
     softmax_cross_entropy,
     upsample_nearest2x,
 )
-from .labelops import nn_downsample, one_hot
 from .layers import ParamGroup, conv_params, fc_params
 from .optim import Adam
 from .rng import SplitMix64
@@ -198,11 +197,15 @@ class MtdtModel:
 
     def content_from_labels(self, label: np.ndarray) -> Tensor:
         """(B,H,W) integer labels at image resolution -> content tensor."""
-        small = nn_downsample(label, ENCODER_STRIDE)
-        return self.content_from_onehot(Tensor(one_hot(small, self.num_classes)))
+        small = label[:, None, ::ENCODER_STRIDE, ::ENCODER_STRIDE]
+        # one-hot; a label outside [0, num_classes), such as the ignore value, matches no class
+        onehot = small == np.arange(self.num_classes)[:, None, None]
+        return self.content_from_onehot(Tensor(onehot))
 
     def extract_style_content(self, image: Tensor, label: np.ndarray
                               ) -> tuple[StyleTensors, Tensor]:
+        if label.shape != image.shape[:1] + image.shape[2:]:
+            raise ShapeError(f"label shape {label.shape} does not match image {image.shape}")
         return self.extract_style(image), self.content_from_labels(label)
 
     def dst_transfer(self, style: StyleTensors, stats: list[DomainStatistics]) -> StyleTensors:

@@ -278,6 +278,11 @@ class TestLosses:
 
 
 class TestBackward:
+    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b], ids=["add", "mul"])
+    def test_elementwise_ops_do_not_broadcast(self, op):
+        with pytest.raises(ShapeError, match=r"shapes \(1,\) and \(\) differ"):
+            op(Tensor(np.ones(1)), Tensor(2.0))
+
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.random.rand(3, 4), requires_grad=True)
         with Tape() as tape:
@@ -304,7 +309,7 @@ class TestBackward:
         a, b0 = 3.0, 0.5
         x = Tensor(np.array([2.0]), requires_grad=True)
         with Tape() as tape:
-            loss = l1_loss(x * a + b0, Tensor(np.zeros(1)))
+            loss = l1_loss(x * Tensor([a]) + Tensor([b0]), Tensor(np.zeros(1)))
         [grad] = tape.backward(loss, [x])
         assert grad[0] == pytest.approx(a)
 

@@ -1,6 +1,7 @@
 """Pipeline orchestration at miniature scale: records, determinism, flags."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,10 @@ from mtda.pipeline import (
     run_pipeline,
     run_source_only_baseline,
     load_stats,
+    load_transferred,
     transfer_dataset,
 )
+from mtda.toydata import BUILTIN_DOMAINS, Scenes, export, generate, load
 
 
 def mini_cfg(tmp_path, **over):
@@ -76,8 +79,6 @@ def test_missing_domain_fails_with_phase_name(tmp_path):
 
 
 def test_out_of_range_label_fails_in_data_phase(tmp_path):
-    from mtda.toydata import BUILTIN_DOMAINS, export, generate
-
     scenes = generate(BUILTIN_DOMAINS["source"], 5, 8, 32, 32)
     scenes.labels[3, 0, 0] = 7
     data_dir = tmp_path / "labelled"
@@ -89,8 +90,6 @@ def test_out_of_range_label_fails_in_data_phase(tmp_path):
 
 
 def test_wrong_image_size_fails_in_data_phase(tmp_path):
-    from mtda.toydata import BUILTIN_DOMAINS, export, generate
-
     data_dir = tmp_path / "big"
     export(generate(BUILTIN_DOMAINS["night"], 5, 8, 64, 64), data_dir)
     cfg = mini_cfg(tmp_path, targets=("dusk", str(data_dir)))
@@ -123,7 +122,7 @@ def test_stats_equal_raw_image_statistics_on_zero_noise_domain(tmp_path):
     # end-to-end oracle: streaming stats on raw zero-noise images match the
     # two-pass population statistics at the streaming divisor
     from mtda.stats import WelfordAccumulator
-    from mtda.toydata import DomainSpec, generate
+    from mtda.toydata import DomainSpec
 
     spec = DomainSpec(name="flat", color_mean=(0.1, 0.0, -0.1),
                       color_std=(0.05, 0.05, 0.05), noise_amplitude=0.0,
@@ -164,7 +163,13 @@ def test_stats_checkpoint_files_per_domain(tmp_path):
     lambda a: a.pop("n"),
     lambda a: a.update(mu=a["mu"][:-1]),
     lambda a: a.update(n=np.array([6.0])),
-], ids=["missing-n", "short-mu", "vector-n"])
+    lambda a: a.update(n=np.array(np.nan)),
+    lambda a: a.update(n=np.array(2.5)),
+    lambda a: a.update(n=np.array(1.0)),
+    lambda a: np.put(a["sigma"], 0, -1.0),
+    lambda a: np.put(a["mu"], 0, np.nan),
+], ids=["missing-n", "short-mu", "vector-n", "nan-n", "fractional-n", "n-below-2",
+        "negative-sigma", "nan-mu"])
 def test_malformed_stats_checkpoint_is_format_error(tmp_path, damage):
     from mtda.tensorio import FormatError, read_archive, write_archive
 
@@ -194,8 +199,10 @@ def trained_run(tmp_path_factory):
     ("task_model.bin", load_task, lambda a: a.update(extra=np.zeros(1))),
     ("task_model.bin", load_task, lambda a: a.update({"block0.w": a["block0.w"][:, :2]})),
     ("mtdt_model.bin", load_mtdt, lambda a: a.update({"disc/trunk.c1.b": np.zeros(1)})),
+    ("task_model.bin", load_task, lambda a: np.put(a["classifier.w"], 0, np.nan)),
+    ("mtdt_model.bin", load_mtdt, lambda a: np.put(a["gen.c3.w"], 0, np.inf)),
 ], ids=["mtdt-missing", "mtdt-extra", "task-missing", "task-extra", "task-misshapen",
-        "mtdt-misshapen"])
+        "mtdt-misshapen", "task-nan", "mtdt-inf"])
 def test_malformed_model_checkpoint_is_format_error(trained_run, tmp_path, checkpoint,
                                                     loader, damage):
     from mtda.tensorio import FormatError, read_archive, write_archive
@@ -206,6 +213,21 @@ def test_malformed_model_checkpoint_is_format_error(trained_run, tmp_path, check
     write_archive(tmp_path / checkpoint, arrays)
     with pytest.raises(FormatError, match=checkpoint):
         loader(trained_run, tmp_path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: generate(BUILTIN_DOMAINS["dusk"], 5, len(s), 64, 64),
+     r"has image shape \(3, 64, 64\); image_size=32 needs \(3, 32, 32\)"),
+    (lambda s: Scenes(s.images[1:], s.labels[1:]), r"has 5 scenes; train_scenes=6"),
+    (lambda s: Scenes(s.images, np.where(s.labels == 3, 7, s.labels)), r"has labels \[7\]"),
+], ids=["image-size", "scene-count", "label-range"])
+def test_transferred_set_that_does_not_fit_the_config_fails(trained_run, tmp_path, damage,
+                                                            message):
+    shutil.copytree(Path(trained_run.out_dir) / "transfers", tmp_path / "transfers")
+    scenes = load(Path(trained_run.out_dir) / "transfers" / "dusk")
+    export(damage(scenes), tmp_path / "transfers" / "dusk")
+    with pytest.raises(ValueError, match=r"transfers/dusk/scenes.bin " + message):
+        load_transferred(trained_run, tmp_path)
 
 
 def test_domain_classifier_scores_the_clamped_restyled_images(tmp_path):

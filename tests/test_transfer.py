@@ -203,6 +203,11 @@ class TestModel:
         style, content = self.model.extract_style_content(self.image, self.labels)
         assert style.gamma.shape == style.beta.shape == content.shape == (2, 32, 8, 8)
 
+    def test_label_grid_must_match_image(self):
+        # a 30x30 map sampled at stride 4 gives the 8x8 content of a 32x32 image
+        with pytest.raises(ShapeError, match=r"label shape \(2, 30, 30\) does not match"):
+            self.model.extract_style_content(self.image, self.labels[:, :30, :30])
+
     def test_zero_phi_weights_content_is_bias(self):
         self.model.phi.weights.data[:] = 0.0
         content = self.model.content_from_labels(self.labels)
