@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Region-selection ablation grid on the toy benchmark.
 
-Runs the shared statistics/transfer phases once per seed, then the four
-adaptation variants (both label filters, each alone, neither) plus the
-source-only baseline, and prints a per-variant mIoU table of medians over
-seeds.
+Runs the shared transfer-training and restyling phases once per seed, then
+the four adaptation variants (both label filters, each alone, neither) plus
+the source-only baseline, and prints a per-variant mIoU table of medians
+over seeds.
 
 Example:
     python scripts/run_ablation.py --seeds 7 8 9 --out runs/ablation
@@ -37,7 +37,7 @@ VARIANTS = [
 def run_seed(cfg: ExperimentConfig, out: Path) -> dict[str, dict[str, float]]:
     out.mkdir(parents=True, exist_ok=True)
     data = build_datasets(cfg)
-    for phase in ("stats", "mtdt", "transfer"):
+    for phase in ("mtdt", "transfer"):
         run_phase(cfg, phase, data, out)
     transferred = load_transferred(cfg, out)
 

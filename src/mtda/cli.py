@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: stats, train-mtdt, transfer, adapt, eval, gradcheck, pipeline.
+Subcommands: train-mtdt, transfer, adapt, eval, gradcheck, pipeline.
+``train-mtdt`` also writes the target statistics the later phases read.
 Exit codes: 0 ok, 1 usage, 2 config, 3 runtime failure, 4 check failure.
 """
 
@@ -30,8 +31,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mtda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, doc in [
-        ("stats", "extract per-domain feature statistics"),
-        ("train-mtdt", "train the domain transfer network"),
+        ("train-mtdt", "extract per-domain feature statistics, then train the "
+                       "domain transfer network"),
         ("transfer", "restyle the source set toward every target"),
         ("adapt", "self-train the task network with region selection"),
         ("eval", "evaluate the task network per target domain"),
@@ -81,14 +82,11 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
         return EXIT_OK
 
     data = pl.build_datasets(cfg)
-    if command == "stats":  # every later phase reads its inputs from --out
+    if command == "train-mtdt":  # every later phase reads its inputs from --out
         out_dir.mkdir(parents=True, exist_ok=True)
     phase = "mtdt" if command == "train-mtdt" else command
     metrics = pl.run_phase(cfg, phase, data, out_dir)
-    if command == "stats":
-        for name in data.target_names:
-            print(f"[stats] wrote {pl.stats_path(out_dir, name)} ({metrics[name]['n']} updates)")
-    elif command == "train-mtdt":
+    if command == "train-mtdt":
         print(f"[train-mtdt] {metrics['iterations']} iterations, domain classifier "
               f"accuracy {metrics['domain_classifier_accuracy']:.4f}, "
               f"checkpoint {out_dir / 'mtdt_model.bin'}")

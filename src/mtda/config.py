@@ -1,9 +1,9 @@
 """Experiment configuration: a flat key=value file with bracketed sections.
 
 The on-disk format is dependency-free and canonicalizable: sections and keys
-always serialize in the fixed order below, floats print via repr (which
-round-trips exactly), and the config hash is the SHA-256 of that canonical
-text, so identical configs hash identically on any platform.
+always serialize in the fixed order below, and the config hash is the
+SHA-256 of that canonical text, so identical configs hash identically on any
+platform.
 """
 
 from __future__ import annotations
@@ -38,16 +38,9 @@ class ExperimentConfig:
     train_scenes: int = 256
     eval_scenes: int = 64
     # transfer-network training
-    mtdt_lr: float = 1e-3
-    mtdt_beta1: float = 0.9
-    mtdt_beta2: float = 0.999
-    mtdt_weight_decay: float = 1e-5
     mtdt_iterations: int = 1200
     mtdt_batch: int = 2
     # task-network training
-    task_lr: float = 2.5e-4
-    task_momentum: float = 0.9
-    task_weight_decay: float = 5e-4
     adapt_iterations: int = 900
     task_batch: int = 4
     # region selection
@@ -59,15 +52,7 @@ class ExperimentConfig:
         # SplitMix64 keeps a seed's low 64 bits, so any other seed aliases one of these
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        for name in ["mtdt_lr", "task_lr", "task_momentum"]:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ["mtdt_beta1", "mtdt_beta2"]:
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in (0, 1), got {getattr(self, name)}")
-        nonneg = ["mtdt_weight_decay", "task_weight_decay", "mtdt_iterations",
-                  "adapt_iterations", "bars_m"]
-        for name in nonneg:
+        for name in ["mtdt_iterations", "adapt_iterations", "bars_m"]:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.image_size < 16 or self.image_size % 4:
@@ -82,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError("need at least 2 train and 1 eval scenes")
         if self.mtdt_batch < 1 or self.task_batch < 1:
             raise ConfigError("batch sizes must be >= 1")
+        if self.num_classes < 1:
+            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if (all(name in BUILTIN_DOMAINS for name in (self.source, *self.targets))
                 and self.num_classes != len(CLASS_NAMES)):
             raise ConfigError(
@@ -94,10 +81,8 @@ class ExperimentConfig:
 _SECTIONS: list[tuple[str, list[str]]] = [
     ("experiment", ["seed", "image_size", "num_classes", "out_dir"]),
     ("data", ["source", "targets", "train_scenes", "eval_scenes"]),
-    ("mtdt", ["mtdt_lr", "mtdt_beta1", "mtdt_beta2", "mtdt_weight_decay",
-              "mtdt_iterations", "mtdt_batch"]),
-    ("task", ["task_lr", "task_momentum", "task_weight_decay",
-              "adapt_iterations", "task_batch"]),
+    ("mtdt", ["mtdt_iterations", "mtdt_batch"]),
+    ("task", ["adapt_iterations", "task_batch"]),
     ("bars", ["bars_m", "bars_source", "bars_target"]),
 ]
 
@@ -109,7 +94,7 @@ def _format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(v)
-    return repr(v) if isinstance(v, float) else str(v)
+    return str(v)
 
 
 def _parse_value(name: str, raw: str):
@@ -121,8 +106,6 @@ def _parse_value(name: str, raw: str):
             return raw == "true"
         if t == "int":
             return int(raw)
-        if t == "float":
-            return float(raw)
         if t.startswith("tuple"):
             parts = tuple(p.strip() for p in raw.split(",") if p.strip())
             return parts

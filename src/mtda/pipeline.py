@@ -1,5 +1,6 @@
-"""Phase orchestration: statistics -> transfer training -> restyling ->
-self-training adaptation -> evaluation, plus the source-only baseline.
+"""Phase orchestration: transfer training (after extracting the target
+statistics with its untrained encoder) -> restyling -> self-training
+adaptation -> evaluation, plus the source-only baseline.
 
 Every phase reads its inputs from the artifacts the earlier phases wrote under
 the config's output directory and writes its own there; :func:`run_phase` is
@@ -190,7 +191,7 @@ def load_stats(cfg: ExperimentConfig, out_dir: Path) -> list[DomainStatistics]:
     stats_list = []
     for name in map(domain_name, cfg.targets):
         path = stats_path(out_dir, name)
-        arrays = _read_checkpoint(path, _STATS_SHAPES, "stats")
+        arrays = _read_checkpoint(path, _STATS_SHAPES, "train-mtdt")
         n, sigma = float(arrays["n"]), arrays["sigma"]
         if n < 2 or not n.is_integer() or (sigma < 0).any():  # as WelfordAccumulator.extract
             raise FormatError(f"{path}: needs an integer n >= 2 and sigma >= 0, "
@@ -216,9 +217,7 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
     with log_path.open("w", encoding="utf-8") as fh:
         log = train_mtdt(
             model, disc, pnet, sample_batch, stats_list,
-            iterations=cfg.mtdt_iterations, lr=cfg.mtdt_lr,
-            beta1=cfg.mtdt_beta1, beta2=cfg.mtdt_beta2,
-            weight_decay=cfg.mtdt_weight_decay,
+            iterations=cfg.mtdt_iterations,
             log_sink=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
         )
 
@@ -290,13 +289,17 @@ def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[Scenes]:
     return transferred
 
 
+def _task_optimizer() -> SgdMomentum:
+    """The task network's optimizer, in adaptation and in the source-only baseline."""
+    return SgdMomentum(lr=2.5e-4, momentum=0.9, weight_decay=5e-4)
+
+
 def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[Scenes],
                 out_dir: Path, verify: bool = False) -> tuple[TaskNet, dict]:
     """Round-robin self-training over target domains with region selection."""
     rng = SplitMix64(cfg.seed).derive("adapt-sampling")
     net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
-    opt = SgdMomentum(lr=cfg.task_lr, momentum=cfg.task_momentum,
-                      weight_decay=cfg.task_weight_decay)
+    opt = _task_optimizer()
     state = BarsState(
         num_classes=cfg.num_classes,
         feature_dim=FEATURE_DIM,
@@ -389,21 +392,20 @@ def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
     return correct / (len(stats_list) * len(scenes))
 
 
-PHASES = ("stats", "mtdt", "transfer", "adapt", "eval")
+PHASES = ("mtdt", "transfer", "adapt", "eval")
 
 
 def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path) -> dict:
     """Run one phase of :data:`PHASES` from the artifacts the earlier phases
-    left in out_dir, and return what the run record stores for it."""
-    if phase == "stats":
-        model, _, _ = init_models(cfg)
-        return phase_stats(cfg, model, data, out_dir)[1]
+    left in out_dir, and return what the run record stores for it.  ``mtdt``
+    needs none: it writes the statistics of its fresh encoder first."""
     if phase == "mtdt":
-        stats_list = load_stats(cfg, out_dir)
         model, disc, pnet = init_models(cfg)
+        stats_list, statistics = phase_stats(cfg, model, data, out_dir)
         metrics = phase_mtdt(cfg, model, disc, pnet, data, stats_list, out_dir)
         acc = domain_classifier_accuracy(model, disc, data.source_eval, stats_list)
-        return {**metrics, "domain_classifier_accuracy": round(acc, 4)}
+        return {**metrics, "domain_classifier_accuracy": round(acc, 4),
+                "statistics": statistics}
     if phase == "transfer":
         model, _ = load_mtdt(cfg, out_dir)
         phase_transfer(cfg, model, data, load_stats(cfg, out_dir), out_dir)
@@ -452,8 +454,7 @@ def run_source_only_baseline(cfg: ExperimentConfig,
     cfg.validate()
     rng = SplitMix64(cfg.seed).derive("baseline-sampling")
     net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
-    opt = SgdMomentum(lr=cfg.task_lr, momentum=cfg.task_momentum,
-                      weight_decay=cfg.task_weight_decay)
+    opt = _task_optimizer()
     for _ in range(cfg.adapt_iterations):
         src = data.source_train
         idx = [rng.randint(len(src)) for _ in range(cfg.task_batch)]

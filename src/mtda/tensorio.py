@@ -129,6 +129,8 @@ def _read_entries(fh, size: int, path: Path) -> dict[str, np.ndarray]:
             name = fh.read(nlen).decode("utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"{path}: name at byte {offset} is not utf-8") from e
+        if name in out:
+            raise FormatError(f"{path}: repeated entry name {name!r} at byte {offset}")
         out[name] = _read_record(fh, size, path)
     return out
 

@@ -379,14 +379,14 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     return LossTerms(rec=rec, per=per, adv_g=adv_g, cls_g=cls_g, adv_d=adv_d, cls_d=cls_d)
 
 
+MTDT_LR = 1e-3  # the generator's Adam rate; betas are Adam's defaults
+MTDT_WEIGHT_DECAY = 1e-5
 DISC_LR_FACTOR = 2.0
 
 
 def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualNet,
                sample_batch, stats_list: list[DomainStatistics], *,
-               iterations: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-               weight_decay: float = 1e-5,
-               log_sink=None) -> list[dict]:
+               iterations: int, log_sink=None) -> list[dict]:
     """Alternating generator/discriminator optimization.
 
     ``sample_batch(i)`` must return the iteration's :class:`TransferBatch`.
@@ -405,9 +405,8 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     Returns the per-iteration loss records (also passed to ``log_sink`` when
     given).
     """
-    adam_g = Adam(lr=lr, beta1=beta1, beta2=beta2, weight_decay=weight_decay)
-    adam_d = Adam(lr=lr * DISC_LR_FACTOR, beta1=beta1, beta2=beta2,
-                  weight_decay=weight_decay)
+    adam_g = Adam(lr=MTDT_LR, weight_decay=MTDT_WEIGHT_DECAY)
+    adam_d = Adam(lr=MTDT_LR * DISC_LR_FACTOR, weight_decay=MTDT_WEIGHT_DECAY)
     gen_named, gen_tensors = model.params.named(), model.params.tensors()
     disc_named, disc_tensors = disc.params.named(), disc.params.tensors()
     log: list[dict] = []

@@ -44,6 +44,8 @@ def test_removed_flags_are_usage_errors(flag):
 @pytest.mark.parametrize("text, where", [
     ("[experiment]\nseed=7\nstats_updates=0\n", "line 3: unknown key 'stats_updates'"),
     ("[output]\ndump_images=true\n", "line 1: unknown section [output]"),
+    ("[mtdt]\nmtdt_iterations=2\nmtdt_lr=0.001\n", "line 3: unknown key 'mtdt_lr'"),
+    ("[task]\ntask_momentum=0.9\n", "line 2: unknown key 'task_momentum'"),
 ])
 def test_removed_config_keys_are_config_errors(tmp_path, capsys, text, where):
     path = tmp_path / "old.txt"
@@ -53,10 +55,16 @@ def test_removed_config_keys_are_config_errors(tmp_path, capsys, text, where):
     assert not (tmp_path / "run").exists()
 
 
+def test_stats_subcommand_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["stats"])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("[experiment]\nseed=banana\n")
-    assert main(["stats", "--config", str(bad)]) == EXIT_CONFIG
+    assert main(["train-mtdt", "--config", str(bad)]) == EXIT_CONFIG
 
 
 def test_wrong_num_classes_fails_before_any_artifact(tmp_path):
@@ -64,16 +72,16 @@ def test_wrong_num_classes_fails_before_any_artifact(tmp_path):
     path = tmp_path / "config.txt"
     save_config(ExperimentConfig(num_classes=3, train_scenes=6, eval_scenes=2,
                                  out_dir=str(out)), path)
-    assert main(["stats", "--config", str(path)]) == EXIT_CONFIG
+    assert main(["train-mtdt", "--config", str(path)]) == EXIT_CONFIG
     assert not out.exists()
 
 
-def test_adam_beta_of_one_fails_before_any_artifact(tmp_path):
+def test_adam_beta_of_one_fails_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "run"
     path = tmp_path / "config.txt"
-    save_config(ExperimentConfig(mtdt_beta1=1.0, train_scenes=6, eval_scenes=2,
-                                 out_dir=str(out)), path)
-    assert main(["pipeline", "--config", str(path)]) == EXIT_CONFIG
+    path.write_text("[mtdt]\nmtdt_beta1=1.0\n")
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "line 2: unknown key 'mtdt_beta1'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -117,10 +125,10 @@ def test_nested_dataset_dir_target_names_its_artifacts(mini_cfg, tmp_path):
         assert (out_dir / f"eval_{name}.csv").is_file()
     record = json.loads((out_dir / "run_record.json").read_text())
     assert set(record["final_miou"]) == {"dusk", "night"}
-    assert set(record["metrics"]["stats"]) == {"dusk", "night"}
+    assert set(record["metrics"]["mtdt"]["statistics"]) == {"dusk", "night"}
 
 
-@pytest.mark.parametrize("command", ["stats", "pipeline"])
+@pytest.mark.parametrize("command", ["train-mtdt", "pipeline"])
 def test_data_phase_failure_leaves_no_out_dir(mini_cfg, tmp_path, command):
     from mtda.toydata import BUILTIN_DOMAINS, export, generate
 
@@ -140,16 +148,20 @@ def test_missing_prerequisite_is_runtime_error(mini_cfg):
     assert not cfg_out(cfg).exists()
 
 
-def test_train_mtdt_without_stats_is_runtime_error(mini_cfg, capsys):
+def test_transfer_without_stats_is_runtime_error(mini_cfg, capsys):
     cfg, path = mini_cfg
-    assert main(["train-mtdt", "--config", path]) == EXIT_RUNTIME
-    assert "run 'stats' first" in capsys.readouterr().err
-    assert not (cfg_out(cfg) / "mtdt_model.bin").exists()
+    assert main(["train-mtdt", "--config", path]) == EXIT_OK
+    (cfg_out(cfg) / "stats_night.bin").unlink()
+    capsys.readouterr()
+    assert main(["transfer", "--config", path]) == EXIT_RUNTIME
+    assert "stats_night.bin; run 'train-mtdt' first" in capsys.readouterr().err
+    assert not (cfg_out(cfg) / "transfers").exists()
 
 
 def test_stats_writes_one_checkpoint_per_target(mini_cfg, capsys):
     cfg, path = mini_cfg
-    assert main(["stats", "--config", path]) == EXIT_OK
+    assert not cfg_out(cfg).exists()
+    assert main(["train-mtdt", "--config", path]) == EXIT_OK
     out_dir = cfg_out(cfg)
     files = sorted(p.name for p in out_dir.glob("stats_*.bin"))
     assert files == ["stats_dusk.bin", "stats_night.bin"]
@@ -157,25 +169,26 @@ def test_stats_writes_one_checkpoint_per_target(mini_cfg, capsys):
 
 def test_stats_rerun_bitwise_identical(mini_cfg):
     cfg, path = mini_cfg
-    main(["stats", "--config", path])
+    main(["train-mtdt", "--config", path])
     out_dir = cfg_out(cfg)
     first = {p.name: p.read_bytes() for p in out_dir.glob("stats_*.bin")}
-    main(["stats", "--config", path])
+    main(["train-mtdt", "--config", path])
     second = {p.name: p.read_bytes() for p in out_dir.glob("stats_*.bin")}
     assert first == second
 
 
-def test_stats_checkpoints_reload_to_same_statistics(mini_cfg):
-    from mtda.pipeline import build_datasets, init_models, phase_stats, load_stats
-    from pathlib import Path
+def test_stats_checkpoints_reload_to_same_statistics(mini_cfg, tmp_path):
+    from mtda.pipeline import build_datasets, init_models, load_stats, phase_stats, run_phase
 
-    cfg, path = mini_cfg
+    cfg, _ = mini_cfg
     out_dir = cfg_out(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True)
     data = build_datasets(cfg)
+    run_phase(cfg, "mtdt", data, out_dir)  # the statistics of its untrained encoder
     model, _, _ = init_models(cfg)
-    stats_list, _ = phase_stats(cfg, model, data, out_dir)
+    stats_list, _ = phase_stats(cfg, model, data, tmp_path)
     reloaded = load_stats(cfg, out_dir)
+    assert len(reloaded) == len(stats_list) == 2
     for a, b in zip(stats_list, reloaded):
         assert (a.mu == b.mu).all()
         assert (a.sigma == b.sigma).all()
@@ -184,7 +197,7 @@ def test_stats_checkpoints_reload_to_same_statistics(mini_cfg):
 
 def test_full_command_chain(mini_cfg, capsys):
     cfg, path = mini_cfg
-    for command in ["stats", "train-mtdt", "transfer", "adapt", "eval"]:
+    for command in ["train-mtdt", "transfer", "adapt", "eval"]:
         assert main([command, "--config", path]) == EXIT_OK, command
     out_dir = cfg_out(cfg)
     assert (out_dir / "mtdt_model.bin").is_file()
@@ -197,7 +210,7 @@ def test_full_command_chain(mini_cfg, capsys):
 def test_phase_chain_leaves_the_pipeline_artifacts(mini_cfg, tmp_path):
     _, path = mini_cfg
     chain, pipe = tmp_path / "chain", tmp_path / "pipe"
-    for command in ["stats", "train-mtdt", "transfer", "adapt", "eval"]:
+    for command in ["train-mtdt", "transfer", "adapt", "eval"]:
         assert main([command, "--config", path, "--out", str(chain)]) == EXIT_OK, command
     assert main(["pipeline", "--config", path, "--out", str(pipe)]) == EXIT_OK
 

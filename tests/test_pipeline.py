@@ -101,9 +101,12 @@ def test_wrong_image_size_fails_in_data_phase(tmp_path):
 
 def test_record_times_data_and_every_phase(tmp_path):
     record = run_pipeline(mini_cfg(tmp_path))
-    assert list(record.wall_clock) == ["data", "stats", "mtdt", "transfer", "adapt", "eval"]
-    assert set(record.metrics) == {"stats", "mtdt", "adapt", "eval"}
+    assert list(record.wall_clock) == ["data", "mtdt", "transfer", "adapt", "eval"]
+    assert set(record.metrics) == {"mtdt", "adapt", "eval"}
     assert 0.0 <= record.metrics["mtdt"]["domain_classifier_accuracy"] <= 1.0
+    statistics = record.metrics["mtdt"]["statistics"]
+    assert set(statistics) == {"dusk", "night"}
+    assert all(set(s) == {"n", "mu_mean", "sigma_mean"} for s in statistics.values())
 
 
 def test_disabled_source_filter_keeps_everything(tmp_path):

@@ -143,6 +143,18 @@ def test_archive_name_not_utf8(tmp_path):
         read_archive(path)
 
 
+def test_archive_repeated_name_is_format_error(tmp_path):
+    # unchecked, the last "mu" wins and this loads as a valid three-entry
+    # statistics checkpoint
+    path = tmp_path / "stats_dusk.bin"
+    entries = [("mu", np.zeros(32)), ("mu", np.ones(32)), ("sigma", np.ones(32)),
+               ("n", np.array(8.0))]
+    path.write_bytes(b"ADASARCH" + struct.pack("<I", len(entries)) + b"".join(
+        struct.pack("<I", len(name)) + name.encode() + pack_tensor(a) for name, a in entries))
+    with pytest.raises(FormatError, match=r"stats_dusk.bin: repeated entry name 'mu'"):
+        read_archive(path)
+
+
 def test_huge_rank_is_truncation_not_struct_error(tmp_path):
     path = tmp_path / "huge.bin"
     path.write_bytes(b"ADASTNSR" + struct.pack("<I", 2**31))
