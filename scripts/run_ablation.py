@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Region-selection ablation grid on the toy benchmark.
 
-Runs the shared transfer-training and restyling phases once per seed, then
-the four adaptation variants (both label filters, each alone, neither) plus
-the source-only baseline, and prints a per-variant mIoU table of medians
-over seeds.
+Runs the shared ``mtdt`` phase (transfer training and restyling) once per
+seed and reads its restyled sets back, then runs the four adaptation
+variants (both label filters, each alone, neither) plus the source-only
+baseline, and prints a per-variant mIoU table of medians over seeds.
 
 Example:
     python scripts/run_ablation.py --seeds 7 8 9 --out runs/ablation
@@ -12,6 +12,7 @@ Example:
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +38,12 @@ VARIANTS = [
 def run_seed(cfg: ExperimentConfig, out: Path) -> dict[str, dict[str, float]]:
     out.mkdir(parents=True, exist_ok=True)
     data = build_datasets(cfg)
-    for phase in ("mtdt", "transfer"):
-        run_phase(cfg, phase, data, out)
+    run_phase(cfg, "mtdt", data, out)
     transferred = load_transferred(cfg, out)
 
     results: dict[str, dict[str, float]] = {}
     for name, flags in VARIANTS:
-        variant_cfg = ExperimentConfig(**{**cfg.__dict__, **flags,
-                                          "targets": tuple(cfg.targets),
-                                          "out_dir": str(out / name)})
+        variant_cfg = replace(cfg, **flags, out_dir=str(out / name))
         (out / name).mkdir(exist_ok=True)
         net, _ = phase_adapt(variant_cfg, data, transferred, out / name)
         ev = phase_eval(variant_cfg, net, data, out / name)
@@ -63,9 +61,7 @@ def main() -> int:
     cfg0 = ExperimentConfig()
     per_seed = []
     for seed in args.seeds:
-        cfg = ExperimentConfig(**{**cfg0.__dict__, "seed": seed,
-                                  "targets": tuple(cfg0.targets)})
-        res = run_seed(cfg, Path(args.out) / f"seed{seed}")
+        res = run_seed(replace(cfg0, seed=seed), Path(args.out) / f"seed{seed}")
         per_seed.append(res)
         print(f"seed {seed}: " + "  ".join(
             f"{name}={np.mean(list(v.values())):.1f}" for name, v in res.items()))

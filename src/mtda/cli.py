@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: train-mtdt, transfer, adapt, eval, gradcheck, pipeline.
-``train-mtdt`` also writes the target statistics the later phases read.
+Subcommands: train-mtdt, adapt, gradcheck, pipeline.
+``train-mtdt`` writes the restyled source sets that ``adapt`` reads back;
+``adapt`` self-trains the task network on them and evaluates it.
 Exit codes: 0 ok, 1 usage, 2 config, 3 runtime failure, 4 check failure.
 """
 
@@ -31,11 +32,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mtda", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, doc in [
-        ("train-mtdt", "extract per-domain feature statistics, then train the "
-                       "domain transfer network"),
-        ("transfer", "restyle the source set toward every target"),
-        ("adapt", "self-train the task network with region selection"),
-        ("eval", "evaluate the task network per target domain"),
+        ("train-mtdt", "extract per-domain feature statistics, train the domain "
+                       "transfer network, and restyle the source set toward every target"),
+        ("adapt", "self-train the task network with region selection, then "
+                  "evaluate it per target domain"),
         ("gradcheck", "finite-difference check of every differentiable op"),
         ("pipeline", "run all phases end to end"),
     ]:
@@ -82,24 +82,22 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
         return EXIT_OK
 
     data = pl.build_datasets(cfg)
-    if command == "train-mtdt":  # every later phase reads its inputs from --out
+    if command == "train-mtdt":  # adapt reads the restyled sets from --out
         out_dir.mkdir(parents=True, exist_ok=True)
-    phase = "mtdt" if command == "train-mtdt" else command
-    metrics = pl.run_phase(cfg, phase, data, out_dir)
-    if command == "train-mtdt":
+        metrics = pl.run_phase(cfg, "mtdt", data, out_dir)
         print(f"[train-mtdt] {metrics['iterations']} iterations, domain classifier "
               f"accuracy {metrics['domain_classifier_accuracy']:.4f}, "
               f"checkpoint {out_dir / 'mtdt_model.bin'}")
-    elif command == "transfer":
         for name in data.target_names:
-            print(f"[transfer] {name}: {len(data.source_train)} scenes -> "
+            print(f"[train-mtdt] {name}: {len(data.source_train)} scenes -> "
                   f"{out_dir / 'transfers' / name}")
-    elif command == "adapt":
-        print(f"[adapt] {metrics['iterations']} iterations, "
-              f"skipped {metrics['skipped_steps']}, checkpoint {out_dir / 'task_model.bin'}")
-    else:
-        for name, res in metrics.items():
-            print(f"[eval] {name}: mIoU {res['miou']:.2f}")
+        return EXIT_OK
+
+    metrics = pl.run_phase(cfg, "adapt", data, out_dir)
+    print(f"[adapt] {metrics['iterations']} iterations, "
+          f"skipped {metrics['skipped_steps']}, checkpoint {out_dir / 'task_model.bin'}")
+    for name, res in metrics["eval"].items():
+        print(f"[adapt] {name}: mIoU {res['miou']:.2f}")
     return EXIT_OK
 
 

@@ -59,6 +59,19 @@ class ExperimentConfig:
             raise ConfigError(f"image_size must be >= 16 and divisible by 4, got {self.image_size}")
         if not self.targets:
             raise ConfigError("at least one target domain is required")
+        # every string value must come back unchanged from its config.txt line
+        for name in ["out_dir", "source"]:
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
+        for name, value in [("out_dir", self.out_dir), ("source", self.source),
+                            *(("targets", t) for t in self.targets)]:
+            if "".join(value.splitlines()) != value:
+                raise ConfigError(f"{name} must not contain a line break, got {value!r}")
+            if value != value.strip():
+                raise ConfigError(f"{name} must not start or end with whitespace, got {value!r}")
+        commas = [t for t in self.targets if "," in t]
+        if commas:
+            raise ConfigError(f"targets must not contain a comma, got {commas}")
         names = [domain_name(t) for t in self.targets]
         if {"", ".."} & set(names) or len(set(names)) < len(names):
             raise ConfigError(f"target domains need distinct names (the last path "

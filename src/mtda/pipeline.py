@@ -1,12 +1,20 @@
-"""Phase orchestration: transfer training (after extracting the target
-statistics with its untrained encoder) -> restyling -> self-training
-adaptation -> evaluation, plus the source-only baseline.
+"""Phase orchestration, two phases and the source-only baseline:
 
-Every phase reads its inputs from the artifacts the earlier phases wrote under
-the config's output directory and writes its own there; :func:`run_phase` is
-the one driver.  The whole run is summarized in a RunRecord whose ``metrics``
-sub-document is a pure function of (config, seed): wall-clock times live
-outside it so records of identical runs compare byte-for-byte.
+- ``mtdt``: extract the target statistics with the untrained encoder, train
+  the transfer network, and restyle the source training set toward every
+  target;
+- ``adapt``: self-train the task network with region selection on the
+  restyled sets, then evaluate it per target.
+
+The restyled sets, ``transfers/<name>/scenes.bin``, are the one hand-over:
+``adapt`` reads them back from the config's output directory, and
+:func:`run_phase` is the one driver.  The checkpoints ``stats_*.bin``,
+``mtdt_model.bin`` and ``task_model.bin`` are written as the run's trained
+products; no phase reads them.
+
+The whole run is summarized in a RunRecord whose ``metrics`` sub-document is
+a pure function of (config, seed): wall-clock times live outside it so
+records of identical runs compare byte-for-byte.
 
 Every dataset is a :class:`~mtda.toydata.Scenes`, and every batch and every
 ``INFER_BATCH`` chunk is a selection of its array rows.
@@ -29,7 +37,7 @@ from .optim import SgdMomentum
 from .rng import SplitMix64
 from .stats import DomainStatistics, WelfordAccumulator
 from .taskseg import FEATURE_DIM, TaskNet
-from .tensorio import FormatError, read_archive, write_archive
+from .tensorio import write_archive
 from .toydata import BUILTIN_DOMAINS, Scenes, export, generate, load, write_ppm
 from .transfer import (
     ENCODER_STRIDE,
@@ -144,24 +152,6 @@ def stats_path(out_dir: Path, name: str) -> Path:
     return out_dir / f"stats_{name}.bin"
 
 
-_STATS_SHAPES = {"mu": (FEATURE_CHANNELS,), "sigma": (FEATURE_CHANNELS,), "n": ()}
-
-
-def _read_checkpoint(path: Path, shapes: dict[str, tuple], producer: str) -> dict:
-    """Entries of the archive at path, which must hold exactly the named shapes."""
-    if not path.is_file():
-        raise FileNotFoundError(f"missing checkpoint {path}; run '{producer}' first")
-    arrays = read_archive(path)
-    found = {name: a.shape for name, a in arrays.items()}
-    if found != shapes:
-        raise FormatError(f"{path}: unexpected entries {sorted(found.items() - shapes.items())}, "
-                          f"missing {sorted(shapes.items() - found.items())}")
-    nonfinite = sorted(name for name, a in arrays.items() if not np.isfinite(a).all())
-    if nonfinite:
-        raise FormatError(f"{path}: entries {nonfinite} hold values that are not finite")
-    return arrays
-
-
 def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
                 out_dir: Path) -> tuple[list[DomainStatistics], dict]:
     """Stream every target training image, encoded ``INFER_BATCH`` at a time,
@@ -185,19 +175,6 @@ def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
             "sigma_mean": float(st.sigma.mean()),
         }
     return stats_list, metrics
-
-
-def load_stats(cfg: ExperimentConfig, out_dir: Path) -> list[DomainStatistics]:
-    stats_list = []
-    for name in map(domain_name, cfg.targets):
-        path = stats_path(out_dir, name)
-        arrays = _read_checkpoint(path, _STATS_SHAPES, "train-mtdt")
-        n, sigma = float(arrays["n"]), arrays["sigma"]
-        if n < 2 or not n.is_integer() or (sigma < 0).any():  # as WelfordAccumulator.extract
-            raise FormatError(f"{path}: needs an integer n >= 2 and sigma >= 0, "
-                              f"got n = {n:g} and least sigma {sigma.min():g}")
-        stats_list.append(DomainStatistics(arrays["mu"], sigma, int(n)))
-    return stats_list
 
 
 def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscriminator,
@@ -231,17 +208,6 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
         metrics["rec_first_window"] = float(np.median([r["rec"] for r in log[:window]]))
         metrics["rec_last_window"] = float(np.median([r["rec"] for r in log[-window:]]))
     return metrics
-
-
-def load_mtdt(cfg: ExperimentConfig, out_dir: Path):
-    model, disc, _ = init_models(cfg)
-    shapes = {name: t.data.shape for name, t in model.params.named()}
-    shapes.update({f"disc/{name}": t.data.shape for name, t in disc.params.named()})
-    arrays = _read_checkpoint(out_dir / "mtdt_model.bin", shapes, "train-mtdt")
-    model.params.load_state_arrays(arrays)
-    disc.params.load_state_arrays({k[len("disc/"):]: v for k, v in arrays.items()
-                                   if k.startswith("disc/")})
-    return model, disc
 
 
 def transfer_dataset(model: MtdtModel, scenes: Scenes, stats: DomainStatistics) -> Scenes:
@@ -279,7 +245,7 @@ def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[Scenes]:
     for name in map(domain_name, cfg.targets):
         d = out_dir / "transfers" / name
         if not (d / "scenes.bin").is_file():
-            raise FileNotFoundError(f"missing transferred dataset {d}; run 'transfer' first")
+            raise FileNotFoundError(f"missing transferred dataset {d}; run 'train-mtdt' first")
         scenes = load(d)
         if len(scenes) != cfg.train_scenes:
             raise ValueError(f"{d}/scenes.bin has {len(scenes)} scenes; "
@@ -340,13 +306,6 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[Scenes]
     return net, metrics
 
 
-def load_task(cfg: ExperimentConfig, out_dir: Path) -> TaskNet:
-    net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
-    shapes = {name: t.data.shape for name, t in net.params.named()}
-    net.params.load_state_arrays(_read_checkpoint(out_dir / "task_model.bin", shapes, "adapt"))
-    return net
-
-
 def evaluate_net(net: TaskNet, scenes: Scenes,
                  num_classes: int) -> tuple[ConfusionMatrix, np.ndarray, float]:
     cm = ConfusionMatrix(num_classes)
@@ -392,28 +351,25 @@ def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
     return correct / (len(stats_list) * len(scenes))
 
 
-PHASES = ("mtdt", "transfer", "adapt", "eval")
+PHASES = ("mtdt", "adapt")
 
 
 def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path) -> dict:
-    """Run one phase of :data:`PHASES` from the artifacts the earlier phases
-    left in out_dir, and return what the run record stores for it.  ``mtdt``
-    needs none: it writes the statistics of its fresh encoder first."""
+    """Run one phase of :data:`PHASES` and return what the run record stores
+    for it.  ``mtdt`` extracts the statistics of its fresh encoder, trains,
+    and writes the restyled sets; ``adapt`` reads them back from out_dir,
+    self-trains the task network and evaluates it."""
     if phase == "mtdt":
         model, disc, pnet = init_models(cfg)
         stats_list, statistics = phase_stats(cfg, model, data, out_dir)
         metrics = phase_mtdt(cfg, model, disc, pnet, data, stats_list, out_dir)
         acc = domain_classifier_accuracy(model, disc, data.source_eval, stats_list)
+        phase_transfer(cfg, model, data, stats_list, out_dir)
         return {**metrics, "domain_classifier_accuracy": round(acc, 4),
                 "statistics": statistics}
-    if phase == "transfer":
-        model, _ = load_mtdt(cfg, out_dir)
-        phase_transfer(cfg, model, data, load_stats(cfg, out_dir), out_dir)
-        return {}
     if phase == "adapt":
-        return phase_adapt(cfg, data, load_transferred(cfg, out_dir), out_dir)[1]
-    if phase == "eval":
-        return phase_eval(cfg, load_task(cfg, out_dir), data, out_dir)
+        net, metrics = phase_adapt(cfg, data, load_transferred(cfg, out_dir), out_dir)
+        return {**metrics, "eval": phase_eval(cfg, net, data, out_dir)}
     raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
 
 
@@ -435,10 +391,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out_dir / "config.txt")
     for phase in PHASES:
-        metrics = timed(phase, lambda: run_phase(cfg, phase, data, out_dir))
-        if metrics:  # transfer's is empty
-            record.metrics[phase] = metrics
-    record.final_miou = {name: res["miou"] for name, res in record.metrics["eval"].items()}
+        record.metrics[phase] = timed(phase, lambda: run_phase(cfg, phase, data, out_dir))
+    record.final_miou = {name: res["miou"]
+                         for name, res in record.metrics["adapt"]["eval"].items()}
 
     record.artifacts = sorted(
         str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()

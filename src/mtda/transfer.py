@@ -187,20 +187,13 @@ class MtdtModel:
             beta=conv2d(h, self.se_beta, stride=1, pad=1),
         )
 
-    def content_from_onehot(self, label_onehot: Tensor) -> Tensor:
-        """1x1 projection of a one-hot label map already at feature resolution."""
-        if label_onehot.shape[1] != self.num_classes:
-            raise ShapeError(
-                f"label one-hot has {label_onehot.shape[1]} channels, expected {self.num_classes}"
-            )
-        return conv2d(label_onehot, self.phi, stride=1, pad=0)
-
     def content_from_labels(self, label: np.ndarray) -> Tensor:
-        """(B,H,W) integer labels at image resolution -> content tensor."""
+        """(B,H,W) integer labels at image resolution -> content tensor: a 1x1
+        projection of their one-hot map at feature resolution."""
         small = label[:, None, ::ENCODER_STRIDE, ::ENCODER_STRIDE]
         # one-hot; a label outside [0, num_classes), such as the ignore value, matches no class
         onehot = small == np.arange(self.num_classes)[:, None, None]
-        return self.content_from_onehot(Tensor(onehot))
+        return conv2d(Tensor(onehot), self.phi, stride=1, pad=0)
 
     def extract_style_content(self, image: Tensor, label: np.ndarray
                               ) -> tuple[StyleTensors, Tensor]:

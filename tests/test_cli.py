@@ -61,6 +61,20 @@ def test_stats_subcommand_is_gone():
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["transfer", "eval"])
+def test_transfer_and_eval_subcommands_are_gone(mini_cfg, command):
+    cfg, path = mini_cfg
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", path])
+    assert exc.value.code == EXIT_USAGE
+    assert not cfg_out(cfg).exists()
+
+
+def test_empty_out_dir_fails_before_any_artifact(mini_cfg, capsys):
+    assert main(["pipeline", "--config", mini_cfg[1], "--out", ""]) == EXIT_CONFIG
+    assert "out_dir must not be empty" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("[experiment]\nseed=banana\n")
@@ -142,20 +156,22 @@ def test_data_phase_failure_leaves_no_out_dir(mini_cfg, tmp_path, command):
     assert not cfg_out(cfg).exists()
 
 
-def test_missing_prerequisite_is_runtime_error(mini_cfg):
+def test_missing_prerequisite_is_runtime_error(mini_cfg, capsys):
     cfg, path = mini_cfg
-    assert main(["transfer", "--config", path]) == EXIT_RUNTIME
+    assert main(["adapt", "--config", path]) == EXIT_RUNTIME
+    assert "transfers/dusk; run 'train-mtdt' first" in capsys.readouterr().err
     assert not cfg_out(cfg).exists()
 
 
-def test_transfer_without_stats_is_runtime_error(mini_cfg, capsys):
+def test_adapt_without_a_restyled_set_is_runtime_error(mini_cfg, capsys):
     cfg, path = mini_cfg
     assert main(["train-mtdt", "--config", path]) == EXIT_OK
-    (cfg_out(cfg) / "stats_night.bin").unlink()
+    (cfg_out(cfg) / "transfers" / "night" / "scenes.bin").unlink()
     capsys.readouterr()
-    assert main(["transfer", "--config", path]) == EXIT_RUNTIME
-    assert "stats_night.bin; run 'train-mtdt' first" in capsys.readouterr().err
-    assert not (cfg_out(cfg) / "transfers").exists()
+    assert main(["adapt", "--config", path]) == EXIT_RUNTIME
+    assert "transfers/night; run 'train-mtdt' first" in capsys.readouterr().err
+    assert not (cfg_out(cfg) / "task_model.bin").exists()
+    assert not (cfg_out(cfg) / "bars_diagnostics.jsonl").exists()
 
 
 def test_stats_writes_one_checkpoint_per_target(mini_cfg, capsys):
@@ -178,7 +194,8 @@ def test_stats_rerun_bitwise_identical(mini_cfg):
 
 
 def test_stats_checkpoints_reload_to_same_statistics(mini_cfg, tmp_path):
-    from mtda.pipeline import build_datasets, init_models, load_stats, phase_stats, run_phase
+    from mtda.pipeline import build_datasets, init_models, phase_stats, run_phase
+    from mtda.tensorio import read_archive
 
     cfg, _ = mini_cfg
     out_dir = cfg_out(cfg)
@@ -187,17 +204,18 @@ def test_stats_checkpoints_reload_to_same_statistics(mini_cfg, tmp_path):
     run_phase(cfg, "mtdt", data, out_dir)  # the statistics of its untrained encoder
     model, _, _ = init_models(cfg)
     stats_list, _ = phase_stats(cfg, model, data, tmp_path)
-    reloaded = load_stats(cfg, out_dir)
-    assert len(reloaded) == len(stats_list) == 2
-    for a, b in zip(stats_list, reloaded):
-        assert (a.mu == b.mu).all()
-        assert (a.sigma == b.sigma).all()
-        assert a.n == b.n
+    assert len(stats_list) == 2
+    for name, st in zip(data.target_names, stats_list):
+        arrays = read_archive(out_dir / f"stats_{name}.bin")
+        assert sorted(arrays) == ["mu", "n", "sigma"]
+        assert (arrays["mu"] == st.mu).all()
+        assert (arrays["sigma"] == st.sigma).all()
+        assert arrays["n"] == st.n
 
 
 def test_full_command_chain(mini_cfg, capsys):
     cfg, path = mini_cfg
-    for command in ["train-mtdt", "transfer", "adapt", "eval"]:
+    for command in ["train-mtdt", "adapt"]:
         assert main([command, "--config", path]) == EXIT_OK, command
     out_dir = cfg_out(cfg)
     assert (out_dir / "mtdt_model.bin").is_file()
@@ -210,7 +228,7 @@ def test_full_command_chain(mini_cfg, capsys):
 def test_phase_chain_leaves_the_pipeline_artifacts(mini_cfg, tmp_path):
     _, path = mini_cfg
     chain, pipe = tmp_path / "chain", tmp_path / "pipe"
-    for command in ["train-mtdt", "transfer", "adapt", "eval"]:
+    for command in ["train-mtdt", "adapt"]:
         assert main([command, "--config", path, "--out", str(chain)]) == EXIT_OK, command
     assert main(["pipeline", "--config", path, "--out", str(pipe)]) == EXIT_OK
 
@@ -221,6 +239,18 @@ def test_phase_chain_leaves_the_pipeline_artifacts(mini_cfg, tmp_path):
 
     assert digests(chain) == digests(pipe)
     assert {"mtdt_model.bin", "task_model.bin", "eval_night.csv"} <= set(digests(pipe))
+
+
+def test_adapt_prints_the_pipeline_miou(mini_cfg, tmp_path, capsys):
+    _, path = mini_cfg
+    chain, pipe = tmp_path / "chain", tmp_path / "pipe"
+    assert main(["train-mtdt", "--config", path, "--out", str(chain)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["adapt", "--config", path, "--out", str(chain)]) == EXIT_OK
+    printed = [line for line in capsys.readouterr().out.splitlines() if "mIoU" in line]
+    assert main(["pipeline", "--config", path, "--out", str(pipe)]) == EXIT_OK
+    final = json.loads((pipe / "run_record.json").read_text())["final_miou"]
+    assert printed == [f"[adapt] {name}: mIoU {v:.2f}" for name, v in final.items()]
 
 
 def test_pipeline_command_and_record(mini_cfg, capsys):

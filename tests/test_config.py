@@ -119,3 +119,31 @@ def test_num_classes_must_be_positive_with_dataset_dir_domains(tmp_path, k):
     # unchecked, it fails only in the data phase, blaming the dataset's labels
     with pytest.raises(ConfigError, match=f"num_classes must be >= 1, got {k}"):
         ExperimentConfig(num_classes=k, targets=("dusk", str(tmp_path))).validate()
+
+
+@pytest.mark.parametrize("over, message", [
+    (dict(out_dir=""), "out_dir must not be empty"),
+    (dict(source=""), "source must not be empty"),
+    (dict(out_dir="runs/a\nseed=9"), "out_dir must not contain a line break"),
+    (dict(source="source\r"), "source must not contain a line break"),
+    (dict(targets=("dusk", "data/\u2028night")), "targets must not contain a line break"),
+    (dict(targets=(" dusk",)), "targets must not start or end with whitespace"),
+    (dict(out_dir="runs/a "), "out_dir must not start or end with whitespace"),
+    (dict(source="\tsource"), "source must not start or end with whitespace"),
+    (dict(targets=("x,y",)), "targets must not contain a comma"),
+], ids=["empty-out-dir", "empty-source", "out-dir-newline", "source-return",
+        "target-line-separator", "target-leading-space", "out-dir-trailing-space",
+        "source-leading-tab", "target-comma"])
+def test_string_values_that_config_txt_cannot_carry(tmp_path, over, message):
+    # each one would re-parse as another config, or not at all, from its config.txt
+    cfg = ExperimentConfig(**over)
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(),
+    ExperimentConfig(targets=("dusk", "data/deep/night"), num_classes=5, out_dir="runs/my run"),
+], ids=["default", "dataset-dir-target"])
+def test_canonical_text_parses_back_to_the_same_config(cfg):
+    assert parse_config(canonical_text(cfg)) == cfg.validate()

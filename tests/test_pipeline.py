@@ -14,15 +14,13 @@ from mtda.pipeline import (
     build_datasets,
     domain_classifier_accuracy,
     init_models,
-    load_mtdt,
-    load_task,
+    load_transferred,
     phase_adapt,
     phase_stats,
     phase_transfer,
+    run_phase,
     run_pipeline,
     run_source_only_baseline,
-    load_stats,
-    load_transferred,
     transfer_dataset,
 )
 from mtda.toydata import BUILTIN_DOMAINS, Scenes, export, generate, load
@@ -101,8 +99,11 @@ def test_wrong_image_size_fails_in_data_phase(tmp_path):
 
 def test_record_times_data_and_every_phase(tmp_path):
     record = run_pipeline(mini_cfg(tmp_path))
-    assert list(record.wall_clock) == ["data", "mtdt", "transfer", "adapt", "eval"]
-    assert set(record.metrics) == {"mtdt", "adapt", "eval"}
+    assert list(record.wall_clock) == ["data", "mtdt", "adapt"]
+    assert set(record.metrics) == {"mtdt", "adapt"}
+    evaluation = record.metrics["adapt"]["eval"]
+    assert record.final_miou == {name: res["miou"] for name, res in evaluation.items()}
+    assert all(set(res) == {"miou", "per_class_iou"} for res in evaluation.values())
     assert 0.0 <= record.metrics["mtdt"]["domain_classifier_accuracy"] <= 1.0
     statistics = record.metrics["mtdt"]["statistics"]
     assert set(statistics) == {"dusk", "night"}
@@ -159,33 +160,27 @@ def test_stats_checkpoint_files_per_domain(tmp_path):
     phase_stats(cfg, model, data, out)
     assert (out / "stats_dusk.bin").is_file()
     assert (out / "stats_night.bin").is_file()
-    assert len(load_stats(cfg, out)) == 2
 
 
-@pytest.mark.parametrize("damage", [
-    lambda a: a.pop("n"),
-    lambda a: a.update(mu=a["mu"][:-1]),
-    lambda a: a.update(n=np.array([6.0])),
-    lambda a: a.update(n=np.array(np.nan)),
-    lambda a: a.update(n=np.array(2.5)),
-    lambda a: a.update(n=np.array(1.0)),
-    lambda a: np.put(a["sigma"], 0, -1.0),
-    lambda a: np.put(a["mu"], 0, np.nan),
-], ids=["missing-n", "short-mu", "vector-n", "nan-n", "fractional-n", "n-below-2",
-        "negative-sigma", "nan-mu"])
-def test_malformed_stats_checkpoint_is_format_error(tmp_path, damage):
-    from mtda.tensorio import FormatError, read_archive, write_archive
+@pytest.mark.parametrize("phase", ["transfer", "eval"])
+def test_folded_phases_are_unknown(tmp_path, phase):
+    cfg = mini_cfg(tmp_path)
+    with pytest.raises(ValueError, match=rf"unknown phase '{phase}'"):
+        run_phase(cfg, phase, build_datasets(cfg), tmp_path)
+    assert not list(tmp_path.iterdir())
 
+
+def test_mtdt_phase_leaves_the_sets_adapt_reads(tmp_path):
     cfg = mini_cfg(tmp_path)
     out = tmp_path / "run"
-    out.mkdir(parents=True)
-    model, _, _ = init_models(cfg)
-    phase_stats(cfg, model, build_datasets(cfg), out)
-    arrays = read_archive(out / "stats_night.bin")
-    damage(arrays)
-    write_archive(out / "stats_night.bin", arrays)
-    with pytest.raises(FormatError, match="stats_night.bin"):
-        load_stats(cfg, out)
+    out.mkdir()
+    data = build_datasets(cfg)
+    run_phase(cfg, "mtdt", data, out)
+    transferred = load_transferred(cfg, out)
+    assert len(transferred) == 2
+    for scenes in transferred:
+        assert scenes.images.shape == data.source_train.images.shape
+        np.testing.assert_array_equal(scenes.labels, data.source_train.labels)
 
 
 @pytest.fixture(scope="module")
@@ -193,29 +188,6 @@ def trained_run(tmp_path_factory):
     cfg = mini_cfg(tmp_path_factory.mktemp("trained"))
     run_pipeline(cfg)
     return cfg
-
-
-@pytest.mark.parametrize("checkpoint, loader, damage", [
-    ("mtdt_model.bin", load_mtdt, lambda a: a.pop("enc.c1.w")),
-    ("mtdt_model.bin", load_mtdt, lambda a: a.update(extra=np.zeros(1))),
-    ("task_model.bin", load_task, lambda a: a.pop("block0.w")),
-    ("task_model.bin", load_task, lambda a: a.update(extra=np.zeros(1))),
-    ("task_model.bin", load_task, lambda a: a.update({"block0.w": a["block0.w"][:, :2]})),
-    ("mtdt_model.bin", load_mtdt, lambda a: a.update({"disc/trunk.c1.b": np.zeros(1)})),
-    ("task_model.bin", load_task, lambda a: np.put(a["classifier.w"], 0, np.nan)),
-    ("mtdt_model.bin", load_mtdt, lambda a: np.put(a["gen.c3.w"], 0, np.inf)),
-], ids=["mtdt-missing", "mtdt-extra", "task-missing", "task-extra", "task-misshapen",
-        "mtdt-misshapen", "task-nan", "mtdt-inf"])
-def test_malformed_model_checkpoint_is_format_error(trained_run, tmp_path, checkpoint,
-                                                    loader, damage):
-    from mtda.tensorio import FormatError, read_archive, write_archive
-
-    arrays = read_archive(Path(trained_run.out_dir) / checkpoint)
-    loader(trained_run, Path(trained_run.out_dir))
-    damage(arrays)
-    write_archive(tmp_path / checkpoint, arrays)
-    with pytest.raises(FormatError, match=checkpoint):
-        loader(trained_run, tmp_path)
 
 
 @pytest.mark.parametrize("damage, message", [

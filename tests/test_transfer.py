@@ -214,11 +214,6 @@ class TestModel:
         want = np.broadcast_to(self.model.phi.bias.data[None, :, None, None], (2, 32, 8, 8))
         np.testing.assert_allclose(content.data, want, atol=1e-15)
 
-    def test_label_channel_mismatch(self):
-        bad = Tensor(np.zeros((2, 7, 8, 8)))
-        with pytest.raises(ShapeError, match="7 channels"):
-            self.model.content_from_onehot(bad)
-
     def test_transfer_image_shape_and_determinism(self):
         stats = rand_stats(self.rng, 32)
         a = self.model.transfer_image(self.image, self.labels, stats).data
