@@ -281,16 +281,18 @@ def fully_connected(v: Tensor, p: LayerParams) -> Tensor:
     return _emit(out, (v, w, b), vjp)
 
 
-def instance_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per (batch, channel): zero spatial mean, unit spatial variance (up to eps)."""
+NORM_EPS = 1e-5  # added to each channel's variance by instance_norm
+
+
+def instance_norm(x: Tensor) -> Tensor:
+    """Per (batch, channel): zero spatial mean, and spatial variance
+    ``v / (v + NORM_EPS)`` for an input channel of variance ``v``."""
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm input must be (B,C,H,W), got {x.shape}")
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
     m = x.data.mean(axis=(2, 3), keepdims=True)
     xc = x.data - m
     v = (xc * xc).mean(axis=(2, 3), keepdims=True)
-    istd = 1.0 / np.sqrt(v + eps)
+    istd = 1.0 / np.sqrt(v + NORM_EPS)
     y = xc * istd
 
     def vjp(g: np.ndarray):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import IGNORE_VALUE, Tape, Tensor, softmax_cross_entropy
 from .stats import RunningMeanBank
-from .taskseg import TaskNet
+from .taskseg import FEATURE_DIM, TaskNet
 
 
 def class_means(features: np.ndarray, labels: np.ndarray,
@@ -82,7 +82,6 @@ def filter_labels(labels: np.ndarray, nearest: np.ndarray) -> np.ndarray:
 @dataclass
 class BarsState:
     num_classes: int
-    feature_dim: int
     num_domains: int
     switch_iteration: int
     iteration: int = 0
@@ -92,9 +91,9 @@ class BarsState:
 
     def __post_init__(self):
         if not self.transferred_banks:
-            self.transferred_banks = [RunningMeanBank(self.num_classes, self.feature_dim)
+            self.transferred_banks = [RunningMeanBank(self.num_classes, FEATURE_DIM)
                                       for _ in range(self.num_domains)]
-            self.target_banks = [RunningMeanBank(self.num_classes, self.feature_dim)
+            self.target_banks = [RunningMeanBank(self.num_classes, FEATURE_DIM)
                                  for _ in range(self.num_domains)]
 
 

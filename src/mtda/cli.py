@@ -3,6 +3,8 @@
 Subcommands: train-mtdt, adapt, gradcheck, pipeline.
 ``train-mtdt`` writes the restyled source sets that ``adapt`` reads back;
 ``adapt`` self-trains the task network on them and evaluates it.
+``pipeline`` and ``train-mtdt`` write ``config.txt`` to ``--out``, and all three
+refuse an ``--out`` whose ``config.txt`` holds another config.
 Exit codes: 0 ok, 1 usage, 2 config, 3 runtime failure, 4 check failure.
 """
 
@@ -12,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_out_dir, load_config, save_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,9 +83,11 @@ def _cmd_phase(command: str, cfg: ExperimentConfig) -> int:
         print(f"[pipeline] record: {out_dir / 'run_record.json'}")
         return EXIT_OK
 
+    check_out_dir(cfg)
     data = pl.build_datasets(cfg)
     if command == "train-mtdt":  # adapt reads the restyled sets from --out
         out_dir.mkdir(parents=True, exist_ok=True)
+        save_config(cfg, out_dir / "config.txt")
         metrics = pl.run_phase(cfg, "mtdt", data, out_dir)
         print(f"[train-mtdt] {metrics['iterations']} iterations, domain classifier "
               f"accuracy {metrics['domain_classifier_accuracy']:.4f}, "
@@ -106,12 +110,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "gradcheck":
         return _cmd_gradcheck()
     try:
-        cfg = _load_cfg(args)
+        return _cmd_phase(args.command, _load_cfg(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _cmd_phase(args.command, cfg)
     except Exception as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME

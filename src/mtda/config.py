@@ -4,6 +4,10 @@ The on-disk format is dependency-free and canonicalizable: sections and keys
 always serialize in the fixed order below, and the config hash is the
 SHA-256 of that canonical text, so identical configs hash identically on any
 platform.
+
+Values no run varies are class constants, not keys: the class count of the
+toy label set and both batch sizes.  A config file, constructor call or
+``dataclasses.replace`` cannot set them.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import ClassVar
 
-from .toydata import BUILTIN_DOMAINS, CLASS_NAMES
+from .toydata import NUM_CLASSES
 
 
 class ConfigError(ValueError):
@@ -27,10 +32,12 @@ def domain_name(domain: str) -> str:
 
 @dataclass
 class ExperimentConfig:
+    num_classes: ClassVar[int] = NUM_CLASSES
+    mtdt_batch: ClassVar[int] = 2  # source images per MTDT step, and images per target
+    task_batch: ClassVar[int] = 4  # restyled and target images per adapt step
     # experiment
     seed: int = 7
     image_size: int = 32
-    num_classes: int = 4
     out_dir: str = "runs/default"
     # data: builtin domain names or dataset directories
     source: str = "source"
@@ -39,10 +46,8 @@ class ExperimentConfig:
     eval_scenes: int = 64
     # transfer-network training
     mtdt_iterations: int = 1200
-    mtdt_batch: int = 2
     # task-network training
     adapt_iterations: int = 900
-    task_batch: int = 4
     # region selection
     bars_m: int = 300
     bars_source: bool = True
@@ -78,24 +83,14 @@ class ExperimentConfig:
                               f"component of a dataset dir), got {names}")
         if self.train_scenes < 2 or self.eval_scenes < 1:
             raise ConfigError("need at least 2 train and 1 eval scenes")
-        if self.mtdt_batch < 1 or self.task_batch < 1:
-            raise ConfigError("batch sizes must be >= 1")
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if (all(name in BUILTIN_DOMAINS for name in (self.source, *self.targets))
-                and self.num_classes != len(CLASS_NAMES)):
-            raise ConfigError(
-                f"num_classes must be {len(CLASS_NAMES)} for the builtin domains "
-                f"({', '.join(CLASS_NAMES)}), got {self.num_classes}"
-            )
         return self
 
 
 _SECTIONS: list[tuple[str, list[str]]] = [
-    ("experiment", ["seed", "image_size", "num_classes", "out_dir"]),
+    ("experiment", ["seed", "image_size", "out_dir"]),
     ("data", ["source", "targets", "train_scenes", "eval_scenes"]),
-    ("mtdt", ["mtdt_iterations", "mtdt_batch"]),
-    ("task", ["adapt_iterations", "task_batch"]),
+    ("mtdt", ["mtdt_iterations"]),
+    ("task", ["adapt_iterations"]),
     ("bars", ["bars_m", "bars_source", "bars_target"]),
 ]
 
@@ -142,6 +137,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     Path(path).write_text(canonical_text(cfg), encoding="utf-8")
+
+
+def check_out_dir(cfg: ExperimentConfig) -> None:
+    """Refuse an output directory whose ``config.txt`` holds another config,
+    so that one directory never mixes the artifacts of two configs.  A
+    directory without ``config.txt`` is accepted."""
+    path = Path(cfg.out_dir) / "config.txt"
+    if path.is_file() and (path.read_text(encoding="utf-8", errors="replace")
+                           != canonical_text(cfg)):
+        raise ConfigError(f"{path} holds another config; refusing to mix the "
+                          f"artifacts of two configs in one output directory")
 
 
 def parse_config(text: str) -> ExperimentConfig:

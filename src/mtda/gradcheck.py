@@ -254,7 +254,7 @@ def _build_task_net(rng):
 REGISTRY: list[tuple[str, Callable]] = [
     ("conv2d", _build_conv((2, 3, 6, 6), 4, k=3, stride=2, pad=1)),
     ("fully_connected", _build_fc),
-    ("instance_norm", _build_unary(lambda x: instance_norm(x, 1e-5), (2, 3, 4, 4))),
+    ("instance_norm", _build_unary(instance_norm, (2, 3, 4, 4))),
     ("relu", _build_unary(relu, (2, 3, 4, 4), make=_rand_off_kink)),
     ("clamp_unit", _build_clamp),
     ("l1_loss", _build_l1),

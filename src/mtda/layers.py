@@ -48,8 +48,3 @@ class ParamGroup:
 
     def state_arrays(self) -> dict:
         return {name: t.data.copy() for name, t in self._items}
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        """Copy in arrays[name] for every parameter; callers check the shapes."""
-        for name, t in self._items:
-            t.data = arrays[name].astype("float64")

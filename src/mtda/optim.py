@@ -11,6 +11,9 @@ Update rules (per parameter, decay applied first as g <- g + wd * p):
     SGD:   v <- momentum * v + g;          p <- p - lr * v
     Adam:  m <- b1 m + (1-b1) g;  s <- b2 s + (1-b2) g^2
            p <- p - lr * m/(1-b1^t) / (sqrt(s/(1-b2^t)) + eps)
+
+Adam's b1, b2 and eps are the constants ``ADAM_BETA1``, ``ADAM_BETA2`` and
+``ADAM_EPS``, the values of Kingma & Ba (2015); only its rate and decay vary.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -44,9 +51,6 @@ class SgdMomentum:
 @dataclass
 class Adam:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     _t: int = 0
     _m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -56,16 +60,16 @@ class Adam:
              grads: list[np.ndarray | None]) -> None:
         pairs = list(zip(named_params, grads, strict=True))
         self._t += 1
-        bc1 = 1.0 - self.beta1 ** self._t
-        bc2 = 1.0 - self.beta2 ** self._t
+        bc1 = 1.0 - ADAM_BETA1 ** self._t
+        bc2 = 1.0 - ADAM_BETA2 ** self._t
         for (name, p), g in pairs:
             if g is None:
                 continue
             g = g + self.weight_decay * p.data
             m = self._m.get(name, 0.0)
             s = self._s.get(name, 0.0)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            s = self.beta2 * s + (1.0 - self.beta2) * (g * g)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            s = ADAM_BETA2 * s + (1.0 - ADAM_BETA2) * (g * g)
             self._m[name] = m
             self._s[name] = s
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(s / bc2) + self.eps)
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(s / bc2) + ADAM_EPS)

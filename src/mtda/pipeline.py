@@ -31,14 +31,14 @@ import numpy as np
 
 from .autodiff import IGNORE_VALUE, Tape, Tensor, softmax_cross_entropy
 from .bars import BarsState, bars_step
-from .config import ExperimentConfig, config_hash, domain_name, save_config
+from .config import ExperimentConfig, check_out_dir, config_hash, domain_name, save_config
 from .metrics import ConfusionMatrix, miou, write_iou_report
 from .optim import SgdMomentum
 from .rng import SplitMix64
 from .stats import DomainStatistics, WelfordAccumulator
-from .taskseg import FEATURE_DIM, TaskNet
+from .taskseg import TaskNet
 from .tensorio import write_archive
-from .toydata import BUILTIN_DOMAINS, Scenes, export, generate, load, write_ppm
+from .toydata import BUILTIN_DOMAINS, CLASS_NAMES, Scenes, export, generate, load, write_ppm
 from .transfer import (
     ENCODER_STRIDE,
     FEATURE_CHANNELS,
@@ -114,15 +114,11 @@ def build_datasets(cfg: ExperimentConfig) -> Datasets:
             n_tr, n = cfg.train_scenes, cfg.train_scenes + cfg.eval_scenes
             if len(scenes) < n:
                 raise ValueError(f"dataset {src} has {len(scenes)} scenes, need {n}")
-            parts = (Scenes(scenes.images[:n_tr], scenes.labels[:n_tr]),
-                     Scenes(scenes.images[n_tr:n], scenes.labels[n_tr:n]))
-        else:
-            parts = (generate(src, cfg.seed, cfg.train_scenes, h, w),
-                     generate(src, eval_seed, cfg.eval_scenes, h, w))
-        # generated labels too: they reach num_classes when it is below NUM_CLASSES
-        for part in parts:
-            _check_scenes(cfg, part, f"dataset {name}")
-        return parts
+            _check_scenes(cfg, scenes, f"dataset {name}")
+            return (Scenes(scenes.images[:n_tr], scenes.labels[:n_tr]),
+                    Scenes(scenes.images[n_tr:n], scenes.labels[n_tr:n]))
+        return (generate(src, cfg.seed, cfg.train_scenes, h, w),
+                generate(src, eval_seed, cfg.eval_scenes, h, w))
 
     source_train, source_eval = splits(cfg.source)
     targets_train, targets_eval = [], []
@@ -268,7 +264,6 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[Scenes]
     opt = _task_optimizer()
     state = BarsState(
         num_classes=cfg.num_classes,
-        feature_dim=FEATURE_DIM,
         num_domains=len(cfg.targets),
         switch_iteration=cfg.bars_m,
     )
@@ -316,20 +311,12 @@ def evaluate_net(net: TaskNet, scenes: Scenes,
     return cm, iou, mean
 
 
-def _class_names(k: int) -> list[str]:
-    from .toydata import CLASS_NAMES
-
-    if k <= len(CLASS_NAMES):
-        return list(CLASS_NAMES[:k])
-    return list(CLASS_NAMES) + [f"class_{i}" for i in range(len(CLASS_NAMES), k)]
-
-
 def phase_eval(cfg: ExperimentConfig, net: TaskNet, data: Datasets,
                out_dir: Path) -> dict:
     results = {}
     for name, scenes in zip(data.target_names, data.targets_eval):
         cm, iou, mean = evaluate_net(net, scenes, cfg.num_classes)
-        write_iou_report(out_dir / f"eval_{name}.csv", _class_names(cfg.num_classes), cm)
+        write_iou_report(out_dir / f"eval_{name}.csv", CLASS_NAMES, cm)
         results[name] = {
             "miou": round(100.0 * mean, 4),
             "per_class_iou": [None if np.isnan(v) else round(100.0 * v, 4) for v in iou],
@@ -375,6 +362,7 @@ def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path) 
 
 def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
     cfg.validate()
+    check_out_dir(cfg)
     out_dir = Path(cfg.out_dir)
     record = RunRecord(config_hash=config_hash(cfg), metrics={}, final_miou={})
 

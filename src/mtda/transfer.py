@@ -64,7 +64,6 @@ from .stats import DomainStatistics
 
 FEATURE_CHANNELS = 32
 ENCODER_STRIDE = 4
-NORM_EPS = 1e-5
 
 
 @dataclass
@@ -85,7 +84,7 @@ def compose(style: StyleTensors, content: Tensor) -> Tensor:
 
 
 def tad_forward(x: Tensor, stats: list[DomainStatistics], fc_scale: LayerParams,
-                fc_bias: LayerParams, eps: float = NORM_EPS) -> Tensor:
+                fc_bias: LayerParams) -> Tensor:
     """Instance-normalize x, then rescale by FC(sigma) and shift by FC(mu).
 
     ``stats`` holds one entry for the whole batch or one per sample; the
@@ -93,7 +92,7 @@ def tad_forward(x: Tensor, stats: list[DomainStatistics], fc_scale: LayerParams,
     statistics, FC and channel sizes raise ShapeError from the ops."""
     scale = fully_connected(Tensor(np.stack([s.sigma for s in stats])), fc_scale)
     bias = fully_connected(Tensor(np.stack([s.mu for s in stats])), fc_bias)
-    return channel_affine(instance_norm(x, eps), scale, bias)
+    return channel_affine(instance_norm(x), scale, bias)
 
 
 class TadResBlock:
@@ -174,13 +173,13 @@ class MtdtModel:
         feature statistics keep the domain's appearance."""
         self._check_image(image)
         h = relu(conv2d(image, self.enc1, stride=1, pad=1))
-        h = relu(instance_norm(conv2d(h, self.enc2, stride=2, pad=1), NORM_EPS))
+        h = relu(instance_norm(conv2d(h, self.enc2, stride=2, pad=1)))
         return conv2d(h, self.enc3, stride=2, pad=1)
 
     def extract_style(self, image: Tensor) -> StyleTensors:
         self._check_image(image)
         h = relu(conv2d(image, self.se1, stride=1, pad=1))
-        h = relu(instance_norm(conv2d(h, self.se2, stride=2, pad=1), NORM_EPS))
+        h = relu(instance_norm(conv2d(h, self.se2, stride=2, pad=1)))
         h = relu(conv2d(h, self.se3, stride=2, pad=1))
         return StyleTensors(
             gamma=conv2d(h, self.se_gamma, stride=1, pad=1),
@@ -216,7 +215,7 @@ class MtdtModel:
     def generate(self, feature: Tensor) -> Tensor:
         h = relu(conv2d(feature, self.gen1, stride=1, pad=1))
         h = upsample_nearest2x(h)
-        h = relu(instance_norm(conv2d(h, self.gen2, stride=1, pad=1), NORM_EPS))
+        h = relu(instance_norm(conv2d(h, self.gen2, stride=1, pad=1)))
         h = upsample_nearest2x(h)
         return conv2d(h, self.gen3, stride=1, pad=1)
 
@@ -281,8 +280,8 @@ class PerceptualNet:
             p.bias.requires_grad = False
 
     def features(self, image: Tensor) -> Tensor:
-        h = relu(instance_norm(conv2d(image, self.c1, stride=2, pad=1), NORM_EPS))
-        h = relu(instance_norm(conv2d(h, self.c2, stride=2, pad=1), NORM_EPS))
+        h = relu(instance_norm(conv2d(image, self.c1, stride=2, pad=1)))
+        h = relu(instance_norm(conv2d(h, self.c2, stride=2, pad=1)))
         return conv2d(h, self.c3, stride=1, pad=1)
 
 
@@ -372,7 +371,7 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     return LossTerms(rec=rec, per=per, adv_g=adv_g, cls_g=cls_g, adv_d=adv_d, cls_d=cls_d)
 
 
-MTDT_LR = 1e-3  # the generator's Adam rate; betas are Adam's defaults
+MTDT_LR = 1e-3  # the generator's Adam rate; betas and eps are optim's constants
 MTDT_WEIGHT_DECAY = 1e-5
 DISC_LR_FACTOR = 2.0
 

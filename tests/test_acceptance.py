@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from mtda.autodiff import IGNORE_VALUE, LayerParams, Tensor
+from mtda.autodiff import IGNORE_VALUE, NORM_EPS, LayerParams, Tensor
 from mtda.bars import class_means, filter_labels, nearest_class
 from mtda.rng import SplitMix64
 from mtda.stats import DomainStatistics, RunningMeanBank, WelfordAccumulator
@@ -67,7 +67,6 @@ def test_criterion_1_welford_oracle_equivalence():
 def test_criterion_2_tad_statistic_matching():
     t0 = time.time()
     rng = SplitMix64(202)
-    eps = 1e-5
     worst = 0.0
     for _ in range(100):
         c = 2 + rng.randint(7)
@@ -76,12 +75,12 @@ def test_criterion_2_tad_statistic_matching():
                    + rng.normal(1)[0])
         stats = DomainStatistics(mu=rng.normal(c) * 2.0,
                                  sigma=np.abs(rng.normal(c)) + 0.1, n=4)
-        out = tad_forward(x, [stats], identity_fc(c), identity_fc(c), eps).data
+        out = tad_forward(x, [stats], identity_fc(c), identity_fc(c)).data
         for ch in range(c):
             v = x.data[0, ch].var()
             worst = max(worst, abs(out[0, ch].mean() - stats.mu[ch]))
             worst = max(worst,
-                        abs(out[0, ch].std() - stats.sigma[ch] * np.sqrt(v / (v + eps))))
+                        abs(out[0, ch].std() - stats.sigma[ch] * np.sqrt(v / (v + NORM_EPS))))
     dt = time.time() - t0
     report(2, "tad-statistic-matching", worst < 1e-8 and dt < 5.0,
            f"100 inputs, worst abs err {worst:.2e}, {dt:.1f}s")
@@ -169,14 +168,13 @@ def test_criterion_4_bars_oracle_equivalence():
 def test_criterion_5_filtered_label_soundness():
     from mtda.bars import BarsState
     from mtda.optim import SgdMomentum
-    from mtda.taskseg import FEATURE_DIM, TaskNet
+    from mtda.taskseg import TaskNet
     from mtda.bars import bars_step
 
     rng = SplitMix64(505)
     net = TaskNet(4, SplitMix64(1))
     opt = SgdMomentum(lr=2.5e-4, momentum=0.9)
-    state = BarsState(num_classes=4, feature_dim=FEATURE_DIM, num_domains=2,
-                      switch_iteration=5)
+    state = BarsState(num_classes=4, num_domains=2, switch_iteration=5)
     violations = 0
     checked = 0
     for step in range(24):

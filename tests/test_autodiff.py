@@ -8,6 +8,7 @@ import pytest
 from mtda.autodiff import (
     _COL_CHUNK_BYTES,
     IGNORE_VALUE,
+    NORM_EPS,
     LayerParams,
     ShapeError,
     Tape,
@@ -194,23 +195,19 @@ class TestInstanceNorm:
 
     def test_symmetric_two_point(self):
         x = Tensor(np.array([1.0, 3.0]).reshape(1, 1, 1, 2))
-        out = instance_norm(x, eps=1e-14).data.ravel()
-        np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-6)
+        out = instance_norm(x).data.ravel()
+        want = 1.0 / np.sqrt(1.0 + NORM_EPS)
+        np.testing.assert_allclose(out, [-want, want], atol=1e-6)
 
     def test_moments_match_two_pass_oracle(self):
         rng = SplitMix64(9)
-        eps = 1e-5
         x = rng.normal(2 * 3 * 5 * 5).reshape(2, 3, 5, 5) * 3.0 + 1.0
-        y = instance_norm(Tensor(x), eps).data
+        y = instance_norm(Tensor(x)).data
         for b in range(2):
             for c in range(3):
                 assert abs(y[b, c].mean()) < 1e-10
                 v = x[b, c].var()
-                assert abs(y[b, c].var() - v / (v + eps)) < 1e-10
-
-    def test_bad_eps(self):
-        with pytest.raises(ValueError):
-            instance_norm(Tensor(np.zeros((1, 1, 2, 2))), eps=0.0)
+                assert abs(y[b, c].var() - v / (v + NORM_EPS)) < 1e-10
 
 
 class TestLosses:

@@ -4,9 +4,11 @@ self-training step."""
 import numpy as np
 import pytest
 
+from mtda import bars
 from mtda.autodiff import IGNORE_VALUE, Tape, Tensor, softmax_cross_entropy
 from mtda.bars import (
     BarsState,
+    _select_with_cold_start,
     bars_step,
     class_means,
     filter_labels,
@@ -15,7 +17,7 @@ from mtda.bars import (
 from mtda.optim import SgdMomentum
 from mtda.rng import SplitMix64
 from mtda.stats import RunningMeanBank
-from mtda.taskseg import FEATURE_DIM, TaskNet
+from mtda.taskseg import TaskNet
 
 
 def loop_class_means(features, labels, k):
@@ -236,8 +238,7 @@ class TestBarsStep:
     def fresh(self, m=300):
         net = TaskNet(4, SplitMix64(1))
         opt = SgdMomentum(lr=2.5e-4, momentum=0.9, weight_decay=5e-4)
-        state = BarsState(num_classes=4, feature_dim=FEATURE_DIM, num_domains=2,
-                          switch_iteration=m)
+        state = BarsState(num_classes=4, num_domains=2, switch_iteration=m)
         return state, net, opt
 
     def test_cold_start_keeps_all_pixels(self):
@@ -257,8 +258,6 @@ class TestBarsStep:
         tr, lab, tg = make_step_inputs()
         bars_step(state, net, opt, 0, tr, lab, tg)
         # second step: banks initialized, filtering active; verify the count
-        from mtda.bars import _select_with_cold_start
-
         _, feats_t = net.forward(Tensor(tr))
         kept = []
         for bb in range(tr.shape[0]):
@@ -278,21 +277,38 @@ class TestBarsStep:
             losses.append(loss)
         assert losses[0] == losses[1]
 
-    def test_switch_controls_centroid_labels(self):
-        # with m=0 the very first update must use filtered labels; with banks
-        # empty the filter keeps everything, so compare against m=large on the
-        # second step where filtering actually bites
+    def test_switch_controls_centroid_labels(self, monkeypatch):
+        # the bank updates get the raw labels (source labels, target argmax)
+        # before step m and the filtered maps from step m on; the first step
+        # filters against empty banks, which keep everything, so m=1 tells the
+        # two apart on the second step's filtered side and m=2 on its raw side
+        seen = []
+        update = bars._update_banks_from_batch
+
+        def spy(bank, features, labels, num_classes):
+            seen.append(labels.copy())
+            update(bank, features, labels, num_classes)
+
+        monkeypatch.setattr(bars, "_update_banks_from_batch", spy)
         tr, lab, tg = make_step_inputs()
-        state_raw, net_a, opt_a = self.fresh(m=300)
-        state_fil, net_b, opt_b = self.fresh(m=1)
-        bars_step(state_raw, net_a, opt_a, 0, tr, lab, tg)
-        bars_step(state_fil, net_b, opt_b, 0, tr, lab, tg)
-        bars_step(state_raw, net_a, opt_a, 0, tr, lab, tg)
-        bars_step(state_fil, net_b, opt_b, 0, tr, lab, tg)
-        # same trajectories for the nets, but centroid counts diverge because
-        # the filtered update skips rejected pixels' class means only when
-        # classes vanish entirely; at minimum the states must stay valid
-        assert state_raw.iteration == state_fil.iteration == 2
+        for m in (1, 2):
+            state, net, opt = self.fresh(m=m)
+            for step in range(2):
+                _, feats_src = net.forward(Tensor(tr))
+                logits_tgt, feats_tgt = net.forward(Tensor(tg))
+                raw_tgt = np.argmax(logits_tgt.data, axis=1)
+                filt_src, _ = _select_with_cold_start(feats_src.data, lab,
+                                                      state.target_banks[0])
+                filt_tgt, _ = _select_with_cold_start(feats_tgt.data, raw_tgt,
+                                                      state.transferred_banks[0])
+                seen.clear()
+                bars_step(state, net, opt, 0, tr, lab, tg)
+                want = (filt_src, filt_tgt) if step >= m else (lab, raw_tgt)
+                assert len(seen) == 2
+                np.testing.assert_array_equal(seen[0], want[0])
+                np.testing.assert_array_equal(seen[1], want[1])
+            # the second step's filter rejects pixels in both directions
+            assert (filt_src != lab).any() and (filt_tgt != raw_tgt).any()
 
     def test_domain_out_of_range(self):
         state, net, opt = self.fresh()

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from mtda.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from mtda.config import ExperimentConfig, save_config
+from mtda.config import ExperimentConfig, canonical_text, save_config
 
 
 @pytest.fixture()
 def mini_cfg(tmp_path):
     cfg = ExperimentConfig(
         seed=5, train_scenes=6, eval_scenes=2,
-        mtdt_iterations=2, adapt_iterations=4, bars_m=2,
-        mtdt_batch=1, task_batch=2, out_dir=str(tmp_path / "run"),
+        mtdt_iterations=2, adapt_iterations=4, bars_m=2, out_dir=str(tmp_path / "run"),
     )
     path = tmp_path / "config.txt"
     save_config(cfg, path)
@@ -46,6 +45,9 @@ def test_removed_flags_are_usage_errors(flag):
     ("[output]\ndump_images=true\n", "line 1: unknown section [output]"),
     ("[mtdt]\nmtdt_iterations=2\nmtdt_lr=0.001\n", "line 3: unknown key 'mtdt_lr'"),
     ("[task]\ntask_momentum=0.9\n", "line 2: unknown key 'task_momentum'"),
+    ("[experiment]\nnum_classes=4\n", "line 2: unknown key 'num_classes'"),
+    ("[mtdt]\nmtdt_batch=2\n", "line 2: unknown key 'mtdt_batch'"),
+    ("[task]\nadapt_iterations=4\ntask_batch=4\n", "line 3: unknown key 'task_batch'"),
 ])
 def test_removed_config_keys_are_config_errors(tmp_path, capsys, text, where):
     path = tmp_path / "old.txt"
@@ -81,12 +83,12 @@ def test_config_error_exit_code(tmp_path):
     assert main(["train-mtdt", "--config", str(bad)]) == EXIT_CONFIG
 
 
-def test_wrong_num_classes_fails_before_any_artifact(tmp_path):
+def test_wrong_num_classes_fails_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "run"
     path = tmp_path / "config.txt"
-    save_config(ExperimentConfig(num_classes=3, train_scenes=6, eval_scenes=2,
-                                 out_dir=str(out)), path)
-    assert main(["train-mtdt", "--config", str(path)]) == EXIT_CONFIG
+    path.write_text("[experiment]\nseed=5\nnum_classes=3\n")
+    assert main(["train-mtdt", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "line 3: unknown key 'num_classes'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -218,6 +220,7 @@ def test_full_command_chain(mini_cfg, capsys):
     for command in ["train-mtdt", "adapt"]:
         assert main([command, "--config", path]) == EXIT_OK, command
     out_dir = cfg_out(cfg)
+    assert (out_dir / "config.txt").read_text() == canonical_text(cfg)
     assert (out_dir / "mtdt_model.bin").is_file()
     assert (out_dir / "task_model.bin").is_file()
     assert (out_dir / "transfers" / "dusk" / "scenes.bin").is_file()
@@ -251,6 +254,36 @@ def test_adapt_prints_the_pipeline_miou(mini_cfg, tmp_path, capsys):
     assert main(["pipeline", "--config", path, "--out", str(pipe)]) == EXIT_OK
     final = json.loads((pipe / "run_record.json").read_text())["final_miou"]
     assert printed == [f"[adapt] {name}: mIoU {v:.2f}" for name, v in final.items()]
+
+
+def tree_digests(root):
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["train-mtdt", "adapt", "pipeline"])
+def test_out_of_another_seed_is_refused(mini_cfg, capsys, command):
+    cfg, path = mini_cfg
+    assert main(["train-mtdt", "--config", path]) == EXIT_OK
+    before = tree_digests(cfg_out(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", path, "--seed", "6"]) == EXIT_CONFIG
+    assert f"{cfg_out(cfg) / 'config.txt'} holds another config" in capsys.readouterr().err
+    assert tree_digests(cfg_out(cfg)) == before
+    assert main([command, "--config", path]) == EXIT_OK  # the same config still reruns
+
+
+def test_pipeline_refuses_the_out_of_a_run_with_more_targets(mini_cfg, tmp_path, capsys):
+    cfg, path = mini_cfg
+    assert main(["pipeline", "--config", path]) == EXIT_OK
+    before = tree_digests(cfg_out(cfg))
+    cfg.targets = ("dusk",)
+    dusk_only = tmp_path / "dusk.txt"
+    save_config(cfg, dusk_only)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(dusk_only)]) == EXIT_CONFIG
+    assert f"{cfg_out(cfg) / 'config.txt'} holds another config" in capsys.readouterr().err
+    assert tree_digests(cfg_out(cfg)) == before
 
 
 def test_pipeline_command_and_record(mini_cfg, capsys):

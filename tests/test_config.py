@@ -1,5 +1,7 @@
 """Config parsing, canonical form, and hashing."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from mtda.config import (
@@ -104,21 +106,14 @@ def test_missing_file():
         load_config("/nonexistent/config.txt")
 
 
-@pytest.mark.parametrize("k", [3, 5])
-def test_builtin_domains_fix_num_classes(k):
-    with pytest.raises(ConfigError, match="num_classes must be 4"):
-        ExperimentConfig(num_classes=k).validate()
-
-
-def test_dataset_dir_domain_leaves_num_classes_free(tmp_path):
-    ExperimentConfig(num_classes=5, targets=("dusk", str(tmp_path))).validate()
-
-
-@pytest.mark.parametrize("k", [0, -1])
-def test_num_classes_must_be_positive_with_dataset_dir_domains(tmp_path, k):
-    # unchecked, it fails only in the data phase, blaming the dataset's labels
-    with pytest.raises(ConfigError, match=f"num_classes must be >= 1, got {k}"):
-        ExperimentConfig(num_classes=k, targets=("dusk", str(tmp_path))).validate()
+def test_class_count_and_batch_sizes_are_constants_not_keys():
+    cfg = ExperimentConfig()
+    assert len(fields(ExperimentConfig)) == 12
+    assert (cfg.num_classes, cfg.mtdt_batch, cfg.task_batch) == (4, 2, 4)
+    with pytest.raises(TypeError):
+        ExperimentConfig(task_batch=2)
+    with pytest.raises(TypeError):
+        replace(cfg, num_classes=3)
 
 
 @pytest.mark.parametrize("over, message", [
@@ -143,7 +138,7 @@ def test_string_values_that_config_txt_cannot_carry(tmp_path, over, message):
 
 @pytest.mark.parametrize("cfg", [
     ExperimentConfig(),
-    ExperimentConfig(targets=("dusk", "data/deep/night"), num_classes=5, out_dir="runs/my run"),
+    ExperimentConfig(targets=("dusk", "data/deep/night"), out_dir="runs/my run"),
 ], ids=["default", "dataset-dir-target"])
 def test_canonical_text_parses_back_to_the_same_config(cfg):
     assert parse_config(canonical_text(cfg)) == cfg.validate()

@@ -28,7 +28,7 @@ from mtda.toydata import BUILTIN_DOMAINS, Scenes, export, generate, load
 
 def mini_cfg(tmp_path, **over):
     base = dict(seed=5, train_scenes=6, eval_scenes=2, mtdt_iterations=2,
-                adapt_iterations=4, bars_m=2, mtdt_batch=1, task_batch=2,
+                adapt_iterations=4, bars_m=2,
                 out_dir=str(tmp_path / "run"))
     base.update(over)
     return ExperimentConfig(**base)

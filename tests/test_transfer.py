@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mtda.autodiff import (
+    NORM_EPS,
     LayerParams,
     ShapeError,
     Tape,
@@ -85,15 +86,14 @@ class TestCompose:
 class TestTad:
     def test_identity_fcs_match_statistics(self):
         rng = SplitMix64(5)
-        eps = 1e-5
         c = 6
         x = Tensor(rng.normal(1 * c * 8 * 8).reshape(1, c, 8, 8) * 2.0 + 0.5)
         stats = rand_stats(rng, c)
-        out = tad_forward(x, [stats], identity_fc(c), identity_fc(c), eps).data
+        out = tad_forward(x, [stats], identity_fc(c), identity_fc(c)).data
         for ch in range(c):
             v = x.data[0, ch].var()
             assert abs(out[0, ch].mean() - stats.mu[ch]) < 1e-8
-            want_std = stats.sigma[ch] * np.sqrt(v / (v + eps))
+            want_std = stats.sigma[ch] * np.sqrt(v / (v + NORM_EPS))
             assert abs(out[0, ch].std() - want_std) < 1e-8
 
     def test_unit_statistics_identity_fcs_give_normalized_input(self):
@@ -102,7 +102,7 @@ class TestTad:
         x = Tensor(rng.normal(1 * c * 5 * 5).reshape(1, c, 5, 5))
         stats = DomainStatistics(mu=np.zeros(c), sigma=np.ones(c), n=3)
         out = tad_forward(x, [stats], identity_fc(c), identity_fc(c)).data
-        fhat = instance_norm(x, 1e-5).data
+        fhat = instance_norm(x).data
         assert np.abs(out - fhat).max() < 1e-12
 
     def test_random_fcs_match_direct_formula_oracle(self):
@@ -117,7 +117,7 @@ class TestTad:
         got = tad_forward(x, [stats], fs, fb).data
         scale = fs.weights.data @ stats.sigma + fs.bias.data
         bias = fb.weights.data @ stats.mu + fb.bias.data
-        want = instance_norm(x, 1e-5).data * scale[None, :, None, None] + bias[None, :, None, None]
+        want = instance_norm(x).data * scale[None, :, None, None] + bias[None, :, None, None]
         assert np.abs(got - want).max() < 1e-12
 
     def test_dim_mismatch(self):
