@@ -1,21 +1,1 @@
 """Multi-target domain adaptation building blocks, desk scale."""
-
-from .autodiff import (
-    IGNORE_VALUE,
-    LayerParams,
-    ShapeError,
-    Tape,
-    TapeError,
-    Tensor,
-    conv2d,
-    fully_connected,
-    instance_norm,
-    l1_loss,
-    mse_loss,
-    relu,
-    sigmoid_bce_with_logits,
-    softmax_cross_entropy,
-)
-from .stats import DomainStatistics, InsufficientDataError, RunningMeanBank, WelfordAccumulator
-
-__version__ = "0.1.0"

@@ -194,7 +194,8 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
             n_kept += (bars_tgt != IGNORE_VALUE).sum()
         skipped = n_kept == 0
         if not skipped:
-            optimizer.step(net.params.named(), tape.backward(loss, net.params.tensors()))
+            params = net.params.tensors()
+            optimizer.step(params, tape.backward(loss, params))
 
     # centroid updates after the step; the switch picks raw vs filtered labels
     use_filtered = state.iteration >= state.switch_iteration

@@ -13,7 +13,7 @@ toy label set and both batch sizes.  A config file, constructor call or
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -141,11 +141,20 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 def check_out_dir(cfg: ExperimentConfig) -> None:
     """Refuse an output directory whose ``config.txt`` holds another config,
-    so that one directory never mixes the artifacts of two configs.  A
-    directory without ``config.txt`` is accepted."""
+    so that one directory never mixes the artifacts of two configs.  The
+    stored ``out_dir`` is not compared: it names this directory under one
+    spelling, and ``runs/x/``, ``./runs/x`` or the absolute path name it too.
+    A ``config.txt`` that does not parse is refused, and a directory without
+    one is accepted."""
     path = Path(cfg.out_dir) / "config.txt"
-    if path.is_file() and (path.read_text(encoding="utf-8", errors="replace")
-                           != canonical_text(cfg)):
+    if not path.is_file():
+        return
+    try:
+        stored = parse_config(path.read_text(encoding="utf-8", errors="replace"))
+    except ConfigError as e:
+        raise ConfigError(f"{path} holds a config that does not parse ({e}); refusing "
+                          f"to mix the artifacts of two configs in one output directory")
+    if canonical_text(replace(stored, out_dir=cfg.out_dir)) != canonical_text(cfg):
         raise ConfigError(f"{path} holds another config; refusing to mix the "
                           f"artifacts of two configs in one output directory")
 

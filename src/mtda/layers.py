@@ -25,11 +25,6 @@ def fc_params(rng: SplitMix64, in_dim: int, out_dim: int) -> LayerParams:
     return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
-def named_layer_params(prefix: str, p: LayerParams):
-    yield f"{prefix}.w", p.weights
-    yield f"{prefix}.b", p.bias
-
-
 class ParamGroup:
     """Flat, ordered collection of named parameter tensors."""
 
@@ -37,11 +32,8 @@ class ParamGroup:
         self._items: list[tuple[str, Tensor]] = []
 
     def register(self, prefix: str, p: LayerParams) -> LayerParams:
-        self._items.extend(named_layer_params(prefix, p))
+        self._items += [(f"{prefix}.w", p.weights), (f"{prefix}.b", p.bias)]
         return p
-
-    def named(self) -> list[tuple[str, Tensor]]:
-        return list(self._items)
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self._items]

@@ -143,11 +143,6 @@ def init_models(cfg: ExperimentConfig):
     return model, disc, pnet
 
 
-def stats_path(out_dir: Path, name: str) -> Path:
-    """Statistics checkpoint of the target domain whose :func:`domain_name` is name."""
-    return out_dir / f"stats_{name}.bin"
-
-
 def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
                 out_dir: Path) -> tuple[list[DomainStatistics], dict]:
     """Stream every target training image, encoded ``INFER_BATCH`` at a time,
@@ -162,7 +157,7 @@ def phase_stats(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
             for feat in model.encode(Tensor(scenes.images[start : start + INFER_BATCH])).data:
                 acc.update(feat.transpose(1, 2, 0))
         st = acc.extract()
-        write_archive(stats_path(out_dir, name),
+        write_archive(out_dir / f"stats_{name}.bin",
                       {"mu": st.mu, "sigma": st.sigma, "n": np.array(st.n)})
         stats_list.append(st)
         metrics[name] = {
@@ -182,9 +177,9 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
     def sample_batch(_i: int) -> TransferBatch:
         src = data.source_train
         idx = [rng.randint(len(src)) for _ in range(b)]
-        target_images = [Tensor(t.images[[rng.randint(len(t)) for _ in range(b)]])
-                         for t in data.targets_train]
-        return TransferBatch(Tensor(src.images[idx]), src.labels[idx], target_images)
+        targets = np.concatenate([t.images[[rng.randint(len(t)) for _ in range(b)]]
+                                  for t in data.targets_train])
+        return TransferBatch(Tensor(src.images[idx]), src.labels[idx], targets)
 
     log_path = out_dir / "mtdt_log.jsonl"
     with log_path.open("w", encoding="utf-8") as fh:
@@ -301,9 +296,8 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[Scenes]
     return net, metrics
 
 
-def evaluate_net(net: TaskNet, scenes: Scenes,
-                 num_classes: int) -> tuple[ConfusionMatrix, np.ndarray, float]:
-    cm = ConfusionMatrix(num_classes)
+def evaluate_net(net: TaskNet, scenes: Scenes) -> tuple[ConfusionMatrix, np.ndarray, float]:
+    cm = ConfusionMatrix(net.num_classes)
     for start in range(0, len(scenes), INFER_BATCH):
         rows = slice(start, start + INFER_BATCH)
         cm.accumulate(net.predict(scenes.images[rows]), scenes.labels[rows])
@@ -315,7 +309,7 @@ def phase_eval(cfg: ExperimentConfig, net: TaskNet, data: Datasets,
                out_dir: Path) -> dict:
     results = {}
     for name, scenes in zip(data.target_names, data.targets_eval):
-        cm, iou, mean = evaluate_net(net, scenes, cfg.num_classes)
+        cm, iou, mean = evaluate_net(net, scenes)
         write_iou_report(out_dir / f"eval_{name}.csv", CLASS_NAMES, cm)
         results[name] = {
             "miou": round(100.0 * mean, 4),
@@ -404,9 +398,10 @@ def run_source_only_baseline(cfg: ExperimentConfig,
         with Tape() as tape:
             logits, _ = net.forward(Tensor(src.images[idx]))
             loss = softmax_cross_entropy(logits, src.labels[idx])
-        opt.step(net.params.named(), tape.backward(loss, net.params.tensors()))
+        params = net.params.tensors()
+        opt.step(params, tape.backward(loss, params))
     results = {}
     for name, scenes in zip(data.target_names, data.targets_eval):
-        _, _, mean = evaluate_net(net, scenes, cfg.num_classes)
+        _, _, mean = evaluate_net(net, scenes)
         results[name] = round(100.0 * mean, 4)
     return net, results

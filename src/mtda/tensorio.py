@@ -3,14 +3,14 @@
 Single tensor record: 8-byte magic ``ADASTNSR``, u32 rank, u32 dims, then the
 row-major float64 payload, all little-endian.  An archive is a sequence of
 (u32 name length, utf-8 name, tensor record) entries after an ``ADASARCH``
-magic and u32 count, with a sidecar ``<path>.manifest`` text file listing
-names and shapes for inspection.
+magic and u32 count, in one file: its names and shapes are read back with
+:func:`read_archive`.
 
 Archives are streamed entry by entry to ``<path>.tmp`` and moved over
-``<path>`` with ``os.replace`` (the sidecar likewise), so an interrupted
-write leaves the previous file, never a truncated one.  Readers likewise
-take each record from the open file straight into its own array, after
-checking its bounds against the file's size.
+``<path>`` with ``os.replace``, so an interrupted write leaves the previous
+file, never a truncated one.  Readers likewise take each record from the
+open file straight into its own array, after checking its bounds against
+the file's size.
 """
 
 from __future__ import annotations
@@ -102,18 +102,13 @@ def _replacing(path: Path):
 
 
 def write_archive(path: str | Path, named: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    manifest = []
-    with _replacing(path) as fh:
+    with _replacing(Path(path)) as fh:
         fh.write(ARCHIVE_MAGIC + struct.pack("<I", len(named)))
         for name, a in named.items():
             a = np.asarray(a, dtype="<f8")
             enc = name.encode("utf-8")
             fh.write(struct.pack("<I", len(enc)) + enc + _tensor_header(a.shape))
             fh.write(np.ascontiguousarray(a).data)
-            manifest.append(f"{name}\t{'x'.join(map(str, a.shape)) or 'scalar'}\n")
-    with _replacing(path.with_name(path.name + ".manifest")) as fh:
-        fh.write("".join(manifest).encode("utf-8"))
 
 
 def _read_entries(fh, size: int, path: Path) -> dict[str, np.ndarray]:

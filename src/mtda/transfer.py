@@ -21,8 +21,8 @@ restyled image and its source, and domain-classification cross-entropy on
 the restyled images.
 
 ``mtdt_losses`` builds every term in one forward pass over all N targets
-at once: the N target batches are stacked domain-major into one (N*B)
-batch, the source style and content are tiled N times to match, and TAD
+at once: the N target batches arrive stacked domain-major in one (N*B)
+array, the source style and content are tiled N times to match, and TAD
 reads one statistics row per sample, so one restyle, one perceptual and
 three critic passes serve every target.  A training iteration records that
 pass on one tape and asks it twice for gradients: the generator total's
@@ -64,23 +64,6 @@ from .stats import DomainStatistics
 
 FEATURE_CHANNELS = 32
 ENCODER_STRIDE = 4
-
-
-@dataclass
-class StyleTensors:
-    gamma: Tensor
-    beta: Tensor
-
-    def __post_init__(self):
-        if self.gamma.shape != self.beta.shape:
-            raise ShapeError(f"gamma shape {self.gamma.shape} != beta shape {self.beta.shape}")
-
-
-def compose(style: StyleTensors, content: Tensor) -> Tensor:
-    """Image feature = gamma * content + beta, elementwise."""
-    if style.gamma.shape != content.shape:
-        raise ShapeError(f"style shape {style.gamma.shape} != content shape {content.shape}")
-    return style.gamma * content + style.beta
 
 
 def tad_forward(x: Tensor, stats: list[DomainStatistics], fc_scale: LayerParams,
@@ -176,15 +159,13 @@ class MtdtModel:
         h = relu(instance_norm(conv2d(h, self.enc2, stride=2, pad=1)))
         return conv2d(h, self.enc3, stride=2, pad=1)
 
-    def extract_style(self, image: Tensor) -> StyleTensors:
+    def extract_style(self, image: Tensor) -> tuple[Tensor, Tensor]:
+        """(B,3,H,W) -> the style pair (gamma, beta), each (B,Cf,H/4,W/4)."""
         self._check_image(image)
         h = relu(conv2d(image, self.se1, stride=1, pad=1))
         h = relu(instance_norm(conv2d(h, self.se2, stride=2, pad=1)))
         h = relu(conv2d(h, self.se3, stride=2, pad=1))
-        return StyleTensors(
-            gamma=conv2d(h, self.se_gamma, stride=1, pad=1),
-            beta=conv2d(h, self.se_beta, stride=1, pad=1),
-        )
+        return conv2d(h, self.se_gamma, stride=1, pad=1), conv2d(h, self.se_beta, stride=1, pad=1)
 
     def content_from_labels(self, label: np.ndarray) -> Tensor:
         """(B,H,W) integer labels at image resolution -> content tensor: a 1x1
@@ -195,22 +176,21 @@ class MtdtModel:
         return conv2d(Tensor(onehot), self.phi, stride=1, pad=0)
 
     def extract_style_content(self, image: Tensor, label: np.ndarray
-                              ) -> tuple[StyleTensors, Tensor]:
+                              ) -> tuple[tuple[Tensor, Tensor], Tensor]:
         if label.shape != image.shape[:1] + image.shape[2:]:
             raise ShapeError(f"label shape {label.shape} does not match image {image.shape}")
         return self.extract_style(image), self.content_from_labels(label)
 
-    def dst_transfer(self, style: StyleTensors, stats: list[DomainStatistics]) -> StyleTensors:
-        """Map source style tensors to the target-styled pair for `stats`
-        (one entry for the whole batch or one per sample, as in TAD)."""
-        cf = style.gamma.shape[1]
-        h = concat_channels([style.gamma, style.beta])
+    def dst_transfer(self, style: tuple[Tensor, Tensor],
+                     stats: list[DomainStatistics]) -> tuple[Tensor, Tensor]:
+        """Map the source style pair (gamma, beta) to the target-styled pair
+        for `stats` (one entry for the whole batch or one per sample, as in
+        TAD)."""
+        cf = style[0].shape[1]
+        h = concat_channels(list(style))
         for block in self.dst_blocks:
             h = block.forward(h, stats)
-        return StyleTensors(
-            gamma=slice_channels(h, 0, cf),
-            beta=slice_channels(h, cf, 2 * cf),
-        )
+        return slice_channels(h, 0, cf), slice_channels(h, cf, 2 * cf)
 
     def generate(self, feature: Tensor) -> Tensor:
         h = relu(conv2d(feature, self.gen1, stride=1, pad=1))
@@ -221,13 +201,11 @@ class MtdtModel:
 
     def transfer_image(self, image: Tensor, label: np.ndarray,
                        stats: DomainStatistics) -> Tensor:
-        """Full restyling pipeline: style -> transfer -> compose -> generate."""
+        """Full restyling pipeline: style -> transfer -> gamma * content + beta
+        -> generate."""
         style, content = self.extract_style_content(image, label)
-        moved = self.dst_transfer(style, [stats])
-        return self.generate(compose(moved, content))
-
-    def reconstruct_direct(self, image: Tensor) -> Tensor:
-        return self.generate(self.encode(image))
+        gamma, beta = self.dst_transfer(style, [stats])
+        return self.generate(gamma * content + beta)
 
 
 class MultiHeadDiscriminator:
@@ -289,7 +267,7 @@ class PerceptualNet:
 class TransferBatch:
     source_image: Tensor            # (B,3,H,W)
     source_label: np.ndarray        # (B,H,W) int
-    target_images: list[Tensor]     # one (B,3,H,W) tensor per target domain
+    targets: np.ndarray             # (N*B,3,H,W), domain-major: rows k*B.. are target k
 
 
 @dataclass
@@ -326,37 +304,39 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
                 batch: TransferBatch, stats_list: list[DomainStatistics]) -> LossTerms:
     """Every objective term in one pass over all targets.
 
-    The N target batches are stacked domain-major into one (N*B) batch: rows
-    k*B .. k*B+B-1 belong to target k, are restyled with ``stats_list[k]``
-    and carry domain label k.  The discriminator terms see the restyled
-    images detached, so the discriminator total depends only on
-    discriminator parameters.  The generator total depends on the
+    ``batch.targets`` stacks the N target batches domain-major into one (N*B)
+    batch: rows k*B .. k*B+B-1 belong to target k, are restyled with
+    ``stats_list[k]`` and carry domain label k.  Their encoded features,
+    ``model.encode(targets)``, feed the target reconstruction term.  The
+    discriminator terms see the restyled images detached, so the
+    discriminator total depends only on discriminator parameters.  The generator total depends on the
     generator-side parameters and, through the critic's view of the
     restyled images, on the discriminator parameters too; :func:`train_mtdt`
     asks each total only for its own side's gradients.
     """
     n = len(stats_list)
-    if n != len(batch.target_images):
-        raise ValueError(f"{n} statistics for {len(batch.target_images)} target domains")
+    b = batch.source_image.shape[0]
+    if len(batch.targets) != n * b:
+        raise ValueError(f"{n} statistics for {len(batch.targets)} target rows; "
+                         f"{n} domains of {b} source rows need {n * b}")
     if n != disc.num_domains:
         raise ValueError(f"discriminator expects {disc.num_domains} domains, got {n}")
-    b = batch.source_image.shape[0]
-    targets = Tensor(np.concatenate([t.data for t in batch.target_images]))
+    targets = Tensor(batch.targets)
     domains = np.repeat(np.arange(n), b)
 
-    style, content = model.extract_style_content(batch.source_image, batch.source_label)
-    rec = l1_loss(model.reconstruct_direct(batch.source_image), batch.source_image)
-    rec = rec + l1_loss(model.generate(compose(style, content)), batch.source_image)
+    (gamma, beta), content = model.extract_style_content(batch.source_image,
+                                                         batch.source_label)
+    rec = l1_loss(model.generate(model.encode(batch.source_image)), batch.source_image)
+    rec = rec + l1_loss(model.generate(gamma * content + beta), batch.source_image)
     # every per-domain term is a mean over B rows, so n * (mean over the N*B
     # stacked rows) is the sum over domains of the per-domain means
-    rec = rec + n * l1_loss(model.reconstruct_direct(targets), targets)
+    rec = rec + n * l1_loss(model.generate(model.encode(targets)), targets)
 
     # the raw generator output is unbounded; every loss that compares a
     # restyled image with real (clamped) data sees it squashed to [-1,1]
-    tiled = StyleTensors(repeat_batch(style.gamma, n), repeat_batch(style.beta, n))
     rows = [stats for stats in stats_list for _ in range(b)]
-    fake = clamp_unit(model.generate(compose(model.dst_transfer(tiled, rows),
-                                             repeat_batch(content, n))))
+    gamma, beta = model.dst_transfer((repeat_batch(gamma, n), repeat_batch(beta, n)), rows)
+    fake = clamp_unit(model.generate(gamma * repeat_batch(content, n) + beta))
     per = n * mse_loss(pnet.features(fake), repeat_batch(pnet.features(batch.source_image), n))
 
     patch_fake, dom_fake = disc.forward(fake)
@@ -392,15 +372,14 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     (DISC_LR_FACTOR x the generator rate): with one step each per iteration
     and a shared rate, the much larger generator tracks the critic's
     boundary and pins it at chance, and the restyled branch then collapses.
-    Raises ValueError if ``stats_list`` does not match the batch's targets
+    Raises ValueError if ``stats_list`` does not match the batch's target rows
     and the critic's domains, and RuntimeError if any loss goes non-finite.
     Returns the per-iteration loss records (also passed to ``log_sink`` when
     given).
     """
     adam_g = Adam(lr=MTDT_LR, weight_decay=MTDT_WEIGHT_DECAY)
     adam_d = Adam(lr=MTDT_LR * DISC_LR_FACTOR, weight_decay=MTDT_WEIGHT_DECAY)
-    gen_named, gen_tensors = model.params.named(), model.params.tensors()
-    disc_named, disc_tensors = disc.params.named(), disc.params.tensors()
+    gen_params, disc_params = model.params.tensors(), disc.params.tensors()
     log: list[dict] = []
 
     for i in range(iterations):
@@ -408,8 +387,8 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
             terms = mtdt_losses(model, disc, pnet, sample_batch(i), stats_list)
             loss_g = terms.generator_total
             loss_d = terms.discriminator_total
-        adam_g.step(gen_named, tape.backward(loss_g, gen_tensors))
-        adam_d.step(disc_named, tape.backward(loss_d, disc_tensors))
+        adam_g.step(gen_params, tape.backward(loss_g, gen_params))
+        adam_d.step(disc_params, tape.backward(loss_d, disc_params))
 
         record = {"iteration": i, **terms.breakdown()}
         if not all(np.isfinite(v) for v in record.values()):

@@ -43,7 +43,7 @@ model = MtdtModel(4, rng.derive("m"))
 disc = MultiHeadDiscriminator(len(DEFAULT_TARGETS), rng.derive("d"))
 src_img, src_lab = images(DEFAULT_SOURCE, 2, 32)
 batch = TransferBatch(source_image=Tensor(src_img), source_label=src_lab,
-                      target_images=[Tensor(images(s, 2, 32)[0]) for s in DEFAULT_TARGETS])
+                      targets=np.concatenate([images(s, 2, 32)[0] for s in DEFAULT_TARGETS]))
 log = train_mtdt(model, disc, PerceptualNet(3), lambda i: batch, stats, iterations=1)
 absorb(np.array([log[0][k] for k in sorted(log[0])], dtype=float),
        *(t.data for t in model.params.tensors() + disc.params.tensors()))

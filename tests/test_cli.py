@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +274,39 @@ def test_out_of_another_seed_is_refused(mini_cfg, capsys, command):
     assert main([command, "--config", path]) == EXIT_OK  # the same config still reruns
 
 
+@pytest.mark.parametrize("spelling", ["runs/x/", "./runs/x", "absolute"])
+def test_same_config_reruns_under_any_spelling_of_its_out(mini_cfg, tmp_path, monkeypatch,
+                                                          capsys, spelling):
+    _, path = mini_cfg
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "runs" / "x"
+    spelled = str(out) if spelling == "absolute" else spelling
+    assert main(["pipeline", "--config", path, "--out", "runs/x"]) == EXIT_OK
+    before = tree_digests(out)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", path, "--seed", "6", "--out", spelled]) == EXIT_CONFIG
+    assert f"{Path(spelled) / 'config.txt'} holds another config" in capsys.readouterr().err
+    assert tree_digests(out) == before
+    assert main(["pipeline", "--config", path, "--out", spelled]) == EXIT_OK
+    after = tree_digests(out)
+    for name in ("config.txt", "run_record.json"):  # both carry this run's spelling
+        del before[name], after[name]
+    assert after == before
+
+
+def test_out_whose_config_does_not_parse_is_refused(mini_cfg, capsys):
+    cfg, path = mini_cfg
+    out = cfg_out(cfg)
+    out.mkdir()
+    (out / "config.txt").write_text("[experiment]\nnum_classes=4\n")
+    assert main(["pipeline", "--config", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{out / 'config.txt'} holds a config that does not parse" in err
+    assert "unknown key 'num_classes'" in err
+    assert tree_digests(out) == {"config.txt": hashlib.sha256(
+        b"[experiment]\nnum_classes=4\n").hexdigest()}
+
+
 def test_pipeline_refuses_the_out_of_a_run_with_more_targets(mini_cfg, tmp_path, capsys):
     cfg, path = mini_cfg
     assert main(["pipeline", "--config", path]) == EXIT_OK
@@ -309,6 +343,4 @@ def test_ablation_flags_change_config_hash(mini_cfg):
 
 
 def cfg_out(cfg):
-    from pathlib import Path
-
     return Path(cfg.out_dir)

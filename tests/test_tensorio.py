@@ -72,9 +72,9 @@ def test_archive_roundtrip_and_manifest(tmp_path):
     assert set(back) == set(named)
     for k in named:
         assert (back[k] == named[k]).all()
-    manifest = (tmp_path / "model.bin.manifest").read_text()
-    assert "enc.w\t3x4" in manifest
-    assert "enc.b\t3" in manifest
+    assert {k: v.shape for k, v in back.items()} == {"enc.w": (3, 4), "enc.b": (3,)}
+    # the archive itself holds the names and shapes: no sidecar beside it
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 def test_zero_d_array_keeps_its_shape(tmp_path):
@@ -85,7 +85,8 @@ def test_zero_d_array_keeps_its_shape(tmp_path):
     write_archive(tmp_path / "a.bin", {"n": np.array(7.0), "v": np.ones(2)})
     back = read_archive(tmp_path / "a.bin")
     assert back["n"].shape == () and back["n"] == 7.0
-    assert (tmp_path / "a.bin.manifest").read_text() == "n\tscalar\nv\t2\n"
+    assert back["v"].shape == (2,)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "t.bin"]
 
 
 def test_failed_archive_write_keeps_the_earlier_archive(tmp_path):
@@ -95,7 +96,7 @@ def test_failed_archive_write_keeps_the_earlier_archive(tmp_path):
     with pytest.raises(ValueError):
         write_archive(path, {"w": np.zeros(5), "b": "not a number"})
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    assert sorted(before) == ["a.bin", "a.bin.manifest"]
+    assert sorted(before) == ["a.bin"]
 
 
 def test_archive_bad_magic(tmp_path):

@@ -116,10 +116,9 @@ class TestExport:
     def test_one_archive_per_dataset(self, tmp_path):
         path = export(generate(DEFAULT_SOURCE, seed=6, count=3, h=16, w=16), tmp_path / "ds")
         assert path == tmp_path / "ds" / "scenes.bin"
-        assert sorted(p.name for p in path.parent.iterdir()) == ["scenes.bin",
-                                                                 "scenes.bin.manifest"]
-        assert path.with_name("scenes.bin.manifest").read_text() == (
-            "images\t3x3x16x16\nlabels\t3x16x16\n")
+        assert sorted(p.name for p in path.parent.iterdir()) == ["scenes.bin"]
+        assert {k: v.shape for k, v in read_archive(path).items()} == {
+            "images": (3, 3, 16, 16), "labels": (3, 16, 16)}
 
     def test_missing_archive_is_file_not_found(self, tmp_path):
         (tmp_path / "ds").mkdir()

@@ -31,10 +31,8 @@ from mtda.transfer import (
     MtdtModel,
     MultiHeadDiscriminator,
     PerceptualNet,
-    StyleTensors,
     TadResBlock,
     TransferBatch,
-    compose,
     mtdt_losses,
     tad_forward,
     train_mtdt,
@@ -50,37 +48,33 @@ def rand_stats(rng, c):
 
 
 class TestCompose:
+    """The image feature ``gamma * content + beta`` that every route composes
+    with Tensor ops; a shape mismatch is test_autodiff's non-broadcast check."""
+
     def test_identity_modulation(self):
         rng = SplitMix64(1)
         c = Tensor(rng.normal(2 * 3 * 4 * 4).reshape(2, 3, 4, 4))
-        style = StyleTensors(gamma=Tensor(np.ones((2, 3, 4, 4))),
-                             beta=Tensor(np.zeros((2, 3, 4, 4))))
-        np.testing.assert_array_equal(compose(style, c).data, c.data)
+        gamma, beta = Tensor(np.ones((2, 3, 4, 4))), Tensor(np.zeros((2, 3, 4, 4)))
+        np.testing.assert_array_equal((gamma * c + beta).data, c.data)
 
     def test_zero_gamma_gives_beta(self):
         rng = SplitMix64(2)
         beta = rng.normal(48).reshape(1, 3, 4, 4)
-        style = StyleTensors(gamma=Tensor(np.zeros((1, 3, 4, 4))), beta=Tensor(beta))
-        out = compose(style, Tensor(rng.normal(48).reshape(1, 3, 4, 4)))
+        gamma = Tensor(np.zeros((1, 3, 4, 4)))
+        out = gamma * Tensor(rng.normal(48).reshape(1, 3, 4, 4)) + Tensor(beta)
         np.testing.assert_array_equal(out.data, beta)
 
     def test_algebraic_identity_gamma2_beta_minus_c(self):
         rng = SplitMix64(3)
         c = rng.normal(48).reshape(1, 3, 4, 4)
-        style = StyleTensors(gamma=Tensor(np.full((1, 3, 4, 4), 2.0)), beta=Tensor(-c))
-        np.testing.assert_allclose(
-            compose(style, Tensor(c)).data, c, atol=1e-15)
+        gamma, beta = Tensor(np.full((1, 3, 4, 4), 2.0)), Tensor(-c)
+        np.testing.assert_allclose((gamma * Tensor(c) + beta).data, c, atol=1e-15)
 
     def test_matches_elementwise_oracle(self):
         rng = SplitMix64(4)
         g, b, c = (rng.normal(48).reshape(1, 3, 4, 4) for _ in range(3))
-        out = compose(StyleTensors(Tensor(g), Tensor(b)), Tensor(c)).data
+        out = (Tensor(g) * Tensor(c) + Tensor(b)).data
         assert np.abs(out - (g * c + b)).max() < 1e-12
-
-    def test_shape_mismatch(self):
-        style = StyleTensors(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((1, 3, 4, 4))))
-        with pytest.raises(ShapeError):
-            compose(style, Tensor(np.zeros((1, 3, 2, 2))))
 
 
 class TestTad:
@@ -192,7 +186,7 @@ class TestModel:
         assert np.isfinite(f.data).all()
 
     def test_autoencoder_shape_roundtrip(self):
-        out = self.model.reconstruct_direct(self.image)
+        out = self.model.generate(self.model.encode(self.image))
         assert out.shape == self.image.shape
 
     def test_bad_spatial_size_names_multiple(self):
@@ -200,8 +194,8 @@ class TestModel:
             self.model.encode(Tensor(np.zeros((1, 3, 30, 30))))
 
     def test_style_content_shapes_agree(self):
-        style, content = self.model.extract_style_content(self.image, self.labels)
-        assert style.gamma.shape == style.beta.shape == content.shape == (2, 32, 8, 8)
+        (gamma, beta), content = self.model.extract_style_content(self.image, self.labels)
+        assert gamma.shape == beta.shape == content.shape == (2, 32, 8, 8)
 
     def test_label_grid_must_match_image(self):
         # a 30x30 map sampled at stride 4 gives the 8x8 content of a 32x32 image
@@ -222,25 +216,27 @@ class TestModel:
         assert (a == b).all()
 
     def test_parameter_inventory_is_domain_free(self):
-        names = [n for n, _ in self.model.params.named()]
-        assert len(names) == len(set(names))
+        names = list(self.model.params.state_arrays())
+        assert len(names) == len(self.model.params.tensors())
         # same inventory no matter how many domains the run uses
-        assert names == [n for n, _ in MtdtModel(4, SplitMix64(20)).params.named()]
+        assert names == list(MtdtModel(4, SplitMix64(20)).params.state_arrays())
 
 
 def looped_losses(model, disc, pnet, batch, stats_list):
     """The one-pass-per-target form of the objective: the oracle that the
     stacked (N*B) batch of ``mtdt_losses`` must reproduce."""
     b = batch.source_image.shape[0]
-    style, content = model.extract_style_content(batch.source_image, batch.source_label)
-    rec = l1_loss(model.reconstruct_direct(batch.source_image), batch.source_image)
-    rec = rec + l1_loss(model.generate(compose(style, content)), batch.source_image)
+    (gamma, beta), content = model.extract_style_content(batch.source_image, batch.source_label)
+    rec = l1_loss(model.generate(model.encode(batch.source_image)), batch.source_image)
+    rec = rec + l1_loss(model.generate(gamma * content + beta), batch.source_image)
     per = adv_g = cls_g = adv_d = cls_d = Tensor(0.0)
     p_src = pnet.features(batch.source_image)
-    for k, (target, stats) in enumerate(zip(batch.target_images, stats_list)):
+    for k, stats in enumerate(stats_list):
         domain = np.full(b, k)
-        rec = rec + l1_loss(model.reconstruct_direct(target), target)
-        fake = clamp_unit(model.generate(compose(model.dst_transfer(style, [stats]), content)))
+        target = Tensor(batch.targets[k * b : (k + 1) * b])
+        rec = rec + l1_loss(model.generate(model.encode(target)), target)
+        moved_gamma, moved_beta = model.dst_transfer((gamma, beta), [stats])
+        fake = clamp_unit(model.generate(moved_gamma * content + moved_beta))
         per = per + mse_loss(pnet.features(fake), p_src)
         patch_fake, dom_fake = disc.forward(fake)
         adv_g = adv_g + sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
@@ -262,7 +258,7 @@ def loss_setup(n):
     batch = TransferBatch(
         source_image=Tensor(src.images),
         source_label=src.labels,
-        target_images=[Tensor(t.images) for t in targets],
+        targets=np.concatenate([t.images for t in targets]),
     )
     rng = SplitMix64(41)
     return (MtdtModel(4, seed.derive("m")), MultiHeadDiscriminator(n, seed.derive("d")),
@@ -273,8 +269,8 @@ class TestStackedTargets:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_terms_and_gradients_match_the_looped_oracle(self, n):
         model, disc, pnet, batch, stats = loss_setup(n)
-        params = model.params.named() + disc.params.named()
-        tensors = [t for _, t in params]
+        names = list(model.params.state_arrays()) + list(disc.params.state_arrays())
+        tensors = model.params.tensors() + disc.params.tensors()
         results = {}
         for name, fn in (("stacked", mtdt_losses), ("looped", looped_losses)):
             grads = {}
@@ -282,7 +278,7 @@ class TestStackedTargets:
                 with Tape() as tape:
                     terms = fn(model, disc, pnet, batch, stats)
                     loss = getattr(terms, side)
-                grads[side] = {p: g for (p, _), g in zip(params, tape.backward(loss, tensors))}
+                grads[side] = dict(zip(names, tape.backward(loss, tensors)))
             results[name] = (terms.breakdown(), grads)
 
         (got, got_grads), (want, want_grads) = results["stacked"], results["looped"]
@@ -318,8 +314,8 @@ class TestLossStack:
         self.batch = TransferBatch(
             source_image=Tensor(src.images),
             source_label=src.labels,
-            target_images=[Tensor(generate(spec, seed=2, count=2, h=32, w=32).images)
-                           for spec in DEFAULT_TARGETS],
+            targets=np.concatenate([generate(spec, seed=2, count=2, h=32, w=32).images
+                                    for spec in DEFAULT_TARGETS]),
         )
         rng = SplitMix64(31)
         self.stats = [rand_stats(rng, 32) for _ in range(2)]
@@ -359,13 +355,15 @@ class TestLossStack:
             with Tape() as tape:
                 loss = getattr(mtdt_losses(self.model, self.disc, self.pnet,
                                            self.batch, self.stats), side)
-            copies = [(name, Tensor(t.data.copy())) for name, t in params.named()]
+            copies = [Tensor(t.data.copy()) for t in params.tensors()]
             Adam(lr=lr, weight_decay=1e-5).step(copies, tape.backward(loss, params.tensors()))
-            want.update((name, c.data) for name, c in copies)
+            want.update(zip(params.state_arrays(), (c.data for c in copies)))
 
         train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats,
                    iterations=1)
-        got = dict(self.model.params.named() + self.disc.params.named())
+        got = {}
+        for params in (self.model.params, self.disc.params):
+            got.update(zip(params.state_arrays(), params.tensors()))
         assert got.keys() == want.keys()
         for name, t in got.items():
             np.testing.assert_allclose(t.data, want[name], rtol=1e-9, atol=1e-12, err_msg=name)
@@ -382,14 +380,15 @@ class TestLossStack:
         from mtda.autodiff import l1_loss
 
         terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
-        style, content = self.model.extract_style_content(
+        (gamma, beta), content = self.model.extract_style_content(
             self.batch.source_image, self.batch.source_label)
-        want = l1_loss(self.model.reconstruct_direct(self.batch.source_image),
+        want = l1_loss(self.model.generate(self.model.encode(self.batch.source_image)),
                        self.batch.source_image).item()
-        want += l1_loss(self.model.generate(compose(style, content)),
+        want += l1_loss(self.model.generate(gamma * content + beta),
                         self.batch.source_image).item()
-        for t in self.batch.target_images:
-            want += l1_loss(self.model.reconstruct_direct(t), t).item()
+        for k in range(2):
+            t = Tensor(self.batch.targets[2 * k : 2 * k + 2])
+            want += l1_loss(self.model.generate(self.model.encode(t)), t).item()
         assert terms.rec.item() == pytest.approx(want, abs=1e-12)
 
     def test_stats_count_mismatch_rejected(self):
