@@ -1,9 +1,9 @@
-"""Experiment configuration: a flat key=value file with bracketed sections.
+"""Experiment configuration: a flat file of ``key=value`` lines.
 
-The on-disk format is dependency-free and canonicalizable: sections and keys
-always serialize in the fixed order below, and the config hash is the
-SHA-256 of that canonical text, so identical configs hash identically on any
-platform.
+The fields of :class:`ExperimentConfig` are the file's one schema: its keys,
+their canonical order and, by each default's type, how a value parses.  The
+config hash is the SHA-256 of the canonical text, one line per field in field
+order, so identical configs hash identically on any platform.
 
 Values no run varies are class constants, not keys: the class count of the
 toy label set and both batch sizes.  A config file, constructor call or
@@ -44,16 +44,22 @@ class ExperimentConfig:
     targets: tuple[str, ...] = ("dusk", "night")
     train_scenes: int = 256
     eval_scenes: int = 64
-    # transfer-network training
-    mtdt_iterations: int = 1200
-    # task-network training
-    adapt_iterations: int = 900
+    mtdt_iterations: int = 1200  # transfer-network training steps
+    adapt_iterations: int = 900  # task-network self-training steps
     # region selection
     bars_m: int = 300
     bars_source: bool = True
     bars_target: bool = True
 
     def validate(self) -> "ExperimentConfig":
+        # every value must have its default's type, which config.txt carries back
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
+                raise ConfigError(f"{f.name} must be of type {type(f.default).__name__}, "
+                                  f"got {value!r}")
+        if not all(type(t) is str for t in self.targets):
+            raise ConfigError(f"targets must be strings, got {self.targets!r}")
         # SplitMix64 keeps a seed's low 64 bits, so any other seed aliases one of these
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
@@ -86,15 +92,7 @@ class ExperimentConfig:
         return self
 
 
-_SECTIONS: list[tuple[str, list[str]]] = [
-    ("experiment", ["seed", "image_size", "out_dir"]),
-    ("data", ["source", "targets", "train_scenes", "eval_scenes"]),
-    ("mtdt", ["mtdt_iterations"]),
-    ("task", ["adapt_iterations"]),
-    ("bars", ["bars_m", "bars_source", "bars_target"]),
-]
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def _format_value(v) -> str:
@@ -106,29 +104,23 @@ def _format_value(v) -> str:
 
 
 def _parse_value(name: str, raw: str):
-    t = _FIELD_TYPES[name]
+    kind = type(_DEFAULTS[name])
     try:
-        if t == "bool":
+        if kind is bool:
             if raw not in ("true", "false"):
                 raise ValueError("expected true/false")
             return raw == "true"
-        if t == "int":
+        if kind is int:
             return int(raw)
-        if t.startswith("tuple"):
-            parts = tuple(p.strip() for p in raw.split(",") if p.strip())
-            return parts
+        if kind is tuple:
+            return tuple(p.strip() for p in raw.split(",") if p.strip())
         return raw
     except ValueError as e:
         raise ConfigError(f"bad value for {name}: {raw!r} ({e})") from None
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
-    lines = []
-    for section, keys in _SECTIONS:
-        lines.append(f"[{section}]")
-        for key in keys:
-            lines.append(f"{key}={_format_value(getattr(cfg, key))}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={_format_value(getattr(cfg, key))}\n" for key in _DEFAULTS)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -160,30 +152,17 @@ def check_out_dir(cfg: ExperimentConfig) -> None:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    section_of = {key: section for section, keys in _SECTIONS for key in keys}
-    sections = {name for name, _ in _SECTIONS}
     values: dict[str, object] = {}
-    current = None
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            if current not in sections:
-                raise ConfigError(f"line {lineno}: unknown section [{current}]")
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if current is None:
-            raise ConfigError(f"line {lineno}: key {key!r} before any section header")
-        if key not in section_of:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if section_of[key] != current:
-            raise ConfigError(f"line {lineno}: key {key!r} belongs in "
-                              f"[{section_of[key]}], not [{current}]")
         if key in values:
             raise ConfigError(f"line {lineno}: repeated key {key!r}")
         values[key] = _parse_value(key, raw.strip())

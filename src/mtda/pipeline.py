@@ -339,7 +339,8 @@ def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path) 
     """Run one phase of :data:`PHASES` and return what the run record stores
     for it.  ``mtdt`` extracts the statistics of its fresh encoder, trains,
     and writes the restyled sets; ``adapt`` reads them back from out_dir,
-    self-trains the task network and evaluates it."""
+    checks that they carry this config's source labels, self-trains the
+    task network and evaluates it."""
     if phase == "mtdt":
         model, disc, pnet = init_models(cfg)
         stats_list, statistics = phase_stats(cfg, model, data, out_dir)
@@ -349,7 +350,12 @@ def run_phase(cfg: ExperimentConfig, phase: str, data: Datasets, out_dir: Path) 
         return {**metrics, "domain_classifier_accuracy": round(acc, 4),
                 "statistics": statistics}
     if phase == "adapt":
-        net, metrics = phase_adapt(cfg, data, load_transferred(cfg, out_dir), out_dir)
+        transferred = load_transferred(cfg, out_dir)
+        for name, restyled in zip(data.target_names, transferred):
+            if not np.array_equal(restyled.labels, data.source_train.labels):
+                raise ValueError(f"{out_dir / 'transfers' / name / 'scenes.bin'} does not restyle "
+                                 f"this config's source labels; run 'train-mtdt' first")
+        net, metrics = phase_adapt(cfg, data, transferred, out_dir)
         return {**metrics, "eval": phase_eval(cfg, net, data, out_dir)}
     raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
 

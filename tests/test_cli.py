@@ -42,13 +42,12 @@ def test_removed_flags_are_usage_errors(flag):
 
 
 @pytest.mark.parametrize("text, where", [
-    ("[experiment]\nseed=7\nstats_updates=0\n", "line 3: unknown key 'stats_updates'"),
-    ("[output]\ndump_images=true\n", "line 1: unknown section [output]"),
-    ("[mtdt]\nmtdt_iterations=2\nmtdt_lr=0.001\n", "line 3: unknown key 'mtdt_lr'"),
-    ("[task]\ntask_momentum=0.9\n", "line 2: unknown key 'task_momentum'"),
-    ("[experiment]\nnum_classes=4\n", "line 2: unknown key 'num_classes'"),
-    ("[mtdt]\nmtdt_batch=2\n", "line 2: unknown key 'mtdt_batch'"),
-    ("[task]\nadapt_iterations=4\ntask_batch=4\n", "line 3: unknown key 'task_batch'"),
+    ("seed=7\nstats_updates=0\n", "line 2: unknown key 'stats_updates'"),
+    ("mtdt_iterations=2\nmtdt_lr=0.001\n", "line 2: unknown key 'mtdt_lr'"),
+    ("task_momentum=0.9\n", "line 1: unknown key 'task_momentum'"),
+    ("num_classes=4\n", "line 1: unknown key 'num_classes'"),
+    ("mtdt_batch=2\n", "line 1: unknown key 'mtdt_batch'"),
+    ("adapt_iterations=4\ntask_batch=4\n", "line 2: unknown key 'task_batch'"),
 ])
 def test_removed_config_keys_are_config_errors(tmp_path, capsys, text, where):
     path = tmp_path / "old.txt"
@@ -80,25 +79,25 @@ def test_empty_out_dir_fails_before_any_artifact(mini_cfg, capsys):
 
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
-    bad.write_text("[experiment]\nseed=banana\n")
+    bad.write_text("seed=banana\n")
     assert main(["train-mtdt", "--config", str(bad)]) == EXIT_CONFIG
 
 
 def test_wrong_num_classes_fails_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "run"
     path = tmp_path / "config.txt"
-    path.write_text("[experiment]\nseed=5\nnum_classes=3\n")
+    path.write_text("seed=5\nnum_classes=3\n")
     assert main(["train-mtdt", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-    assert "line 3: unknown key 'num_classes'" in capsys.readouterr().err
+    assert "line 2: unknown key 'num_classes'" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_adam_beta_of_one_fails_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "run"
     path = tmp_path / "config.txt"
-    path.write_text("[mtdt]\nmtdt_beta1=1.0\n")
+    path.write_text("mtdt_beta1=1.0\n")
     assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-    assert "line 2: unknown key 'mtdt_beta1'" in capsys.readouterr().err
+    assert "line 1: unknown key 'mtdt_beta1'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -164,6 +163,19 @@ def test_missing_prerequisite_is_runtime_error(mini_cfg, capsys):
     assert main(["adapt", "--config", path]) == EXIT_RUNTIME
     assert "transfers/dusk; run 'train-mtdt' first" in capsys.readouterr().err
     assert not cfg_out(cfg).exists()
+
+
+def test_adapt_refuses_restyled_sets_of_another_seed(mini_cfg, capsys):
+    cfg, path = mini_cfg
+    assert main(["train-mtdt", "--config", path]) == EXIT_OK
+    (cfg_out(cfg) / "config.txt").unlink()  # a directory without one is accepted
+    before = tree_digests(cfg_out(cfg))
+    capsys.readouterr()
+    assert main(["adapt", "--config", path, "--seed", "6"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert f"{cfg_out(cfg) / 'transfers' / 'dusk' / 'scenes.bin'} does not restyle" in err
+    assert "run 'train-mtdt' first" in err
+    assert tree_digests(cfg_out(cfg)) == before
 
 
 def test_adapt_without_a_restyled_set_is_runtime_error(mini_cfg, capsys):
@@ -298,13 +310,20 @@ def test_out_whose_config_does_not_parse_is_refused(mini_cfg, capsys):
     cfg, path = mini_cfg
     out = cfg_out(cfg)
     out.mkdir()
-    (out / "config.txt").write_text("[experiment]\nnum_classes=4\n")
+    # this config's config.txt as written in the sectioned format
+    sectioned = (f"[experiment]\nseed=5\nimage_size=32\nout_dir={out}\n"
+                 "[data]\nsource=source\ntargets=dusk,night\ntrain_scenes=6\neval_scenes=2\n"
+                 "[mtdt]\nmtdt_iterations=2\n[task]\nadapt_iterations=4\n"
+                 "[bars]\nbars_m=2\nbars_source=true\nbars_target=true\n")
+    (out / "config.txt").write_text(sectioned)
     assert main(["pipeline", "--config", path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{out / 'config.txt'} holds a config that does not parse" in err
-    assert "unknown key 'num_classes'" in err
-    assert tree_digests(out) == {"config.txt": hashlib.sha256(
-        b"[experiment]\nnum_classes=4\n").hexdigest()}
+    assert "line 1: expected key=value, got '[experiment]'" in err
+    assert tree_digests(out) == {"config.txt": hashlib.sha256(sectioned.encode()).hexdigest()}
+    # deleting its [...] lines converts it to this config exactly
+    flat = "".join(line + "\n" for line in sectioned.splitlines() if not line.startswith("["))
+    assert flat == canonical_text(cfg)
 
 
 def test_pipeline_refuses_the_out_of_a_run_with_more_targets(mini_cfg, tmp_path, capsys):

@@ -40,33 +40,29 @@ def test_comments_and_blank_lines_allowed():
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config("[experiment]\nwat=1\n")
-
-
-def test_unknown_section_rejected():
-    with pytest.raises(ConfigError, match="unknown section"):
-        parse_config("[nope]\n")
-
-
-def test_key_before_section_rejected():
-    with pytest.raises(ConfigError, match="before any section"):
-        parse_config("seed=1\n")
+        parse_config("wat=1\n")
 
 
 def test_repeated_key_rejected():
-    with pytest.raises(ConfigError, match="line 3: repeated key 'seed'"):
-        parse_config("[experiment]\nseed=7\nseed=9\n")
+    with pytest.raises(ConfigError, match="line 2: repeated key 'seed'"):
+        parse_config("seed=7\nseed=9\n")
 
 
-def test_key_in_wrong_section_rejected():
-    with pytest.raises(ConfigError, match=r"line 2: key 'seed' belongs in \[experiment\], "
-                                          r"not \[bars\]"):
-        parse_config("[bars]\nseed=8\nimage_size=64\n")
+def test_sectioned_file_is_rejected_at_its_first_header():
+    # an old file converts by deleting its [...] lines
+    with pytest.raises(ConfigError, match=r"line 1: expected key=value, got '\[experiment\]'"):
+        parse_config("[experiment]\nseed=5\n[bars]\nbars_m=2\n")
+    assert parse_config("seed=5\nbars_m=2\n") == ExperimentConfig(seed=5, bars_m=2)
+
+
+def test_canonical_text_is_one_line_per_field_in_field_order():
+    lines = canonical_text(ExperimentConfig()).splitlines()
+    assert [line.partition("=")[0] for line in lines] == [f.name for f in fields(ExperimentConfig)]
 
 
 def test_bad_value_rejected():
     with pytest.raises(ConfigError, match="bad value"):
-        parse_config("[experiment]\nseed=banana\n")
+        parse_config("seed=banana\n")
 
 
 def test_validation_bounds():
@@ -97,8 +93,8 @@ def test_seed_must_be_u64(seed):
 def test_adam_betas_must_be_below_one(name, beta):
     # beta1 = 1 turns every parameter into NaN on the first Adam step; the
     # betas are constants, and a config that still sets one is rejected
-    with pytest.raises(ConfigError, match=f"line 2: unknown key '{name}'"):
-        parse_config(f"[mtdt]\n{name}={beta}\n")
+    with pytest.raises(ConfigError, match=f"line 1: unknown key '{name}'"):
+        parse_config(f"{name}={beta}\n")
 
 
 def test_missing_file():
@@ -142,3 +138,15 @@ def test_string_values_that_config_txt_cannot_carry(tmp_path, over, message):
 ], ids=["default", "dataset-dir-target"])
 def test_canonical_text_parses_back_to_the_same_config(cfg):
     assert parse_config(canonical_text(cfg)) == cfg.validate()
+
+
+@pytest.mark.parametrize("over, message", [
+    (dict(targets=["dusk", "night"]), "targets must be of type tuple"),
+    (dict(targets=("dusk", 3)), "targets must be strings"),
+    (dict(seed=7.0), "seed must be of type int"),
+    (dict(bars_m=True), "bars_m must be of type int"),
+], ids=["targets-list", "target-not-str", "float-seed", "bool-bars-m"])
+def test_values_of_another_type_than_their_default_are_rejected(over, message):
+    # config.txt would write each one as text that parses back to another config, or not at all
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**over).validate()
