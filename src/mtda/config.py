@@ -173,4 +173,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: byte {e.start} is not UTF-8") from None
+    return parse_config(text)

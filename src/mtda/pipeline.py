@@ -2,7 +2,7 @@
 
 - ``mtdt``: extract the target statistics with the untrained encoder, train
   the transfer network, and restyle the source training set toward every
-  target;
+  target, extracting each chunk's style and content once for all targets;
 - ``adapt``: self-train the task network with region selection on the
   restyled sets, then evaluate it per target.
 
@@ -201,15 +201,21 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
     return metrics
 
 
-def transfer_dataset(model: MtdtModel, scenes: Scenes, stats: DomainStatistics) -> Scenes:
-    """Restyle every scene toward `stats`; the result shares the labels array.
-    Outputs are clamped to the image range real scenes live in."""
-    moved = np.empty_like(scenes.images)
+def transfer_dataset(model: MtdtModel, scenes: Scenes,
+                     stats_list: list[DomainStatistics]) -> list[Scenes]:
+    """Restyle every scene toward each entry of `stats_list`, one result per
+    entry, each sharing the labels array.  Each ``INFER_BATCH`` chunk's style
+    and content are extracted once for every target.  Outputs are clamped to
+    the image range real scenes live in."""
+    moved = [np.empty_like(scenes.images) for _ in stats_list]
     for start in range(0, len(scenes), INFER_BATCH):
         rows = slice(start, start + INFER_BATCH)
-        out = model.transfer_image(Tensor(scenes.images[rows]), scenes.labels[rows], stats)
-        np.clip(out.data, -1.0, 1.0, out=moved[rows])
-    return Scenes(moved, scenes.labels)
+        style, content = model.extract_style_content(Tensor(scenes.images[rows]),
+                                                     scenes.labels[rows])
+        for images, stats in zip(moved, stats_list):
+            out = model.transfer_image(style, content, stats)
+            np.clip(out.data, -1.0, 1.0, out=images[rows])
+    return [Scenes(images, scenes.labels) for images in moved]
 
 
 def phase_transfer(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
@@ -221,11 +227,9 @@ def phase_transfer(cfg: ExperimentConfig, model: MtdtModel, data: Datasets,
     previews = range(min(4, len(data.source_train)))
     for i in previews:
         write_ppm(grid_dir / f"source_{i:02d}.ppm", data.source_train.images[i])
-    transferred = []
-    for name, stats in zip(data.target_names, stats_list):
-        scenes = transfer_dataset(model, data.source_train, stats)
+    transferred = transfer_dataset(model, data.source_train, stats_list)
+    for name, scenes in zip(data.target_names, transferred):
         export(scenes, out_dir / "transfers" / name)
-        transferred.append(scenes)
         for i in previews:
             write_ppm(grid_dir / f"{name}_{i:02d}.ppm", scenes.images[i])
     return transferred
@@ -326,8 +330,8 @@ def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
     them clamped to [-1,1], as in training and as ``phase_transfer`` writes
     them."""
     correct = 0
-    for k, stats in enumerate(stats_list):
-        _, dom = disc.forward(Tensor(transfer_dataset(model, scenes, stats).images))
+    for k, restyled in enumerate(transfer_dataset(model, scenes, stats_list)):
+        _, dom = disc.forward(Tensor(restyled.images))
         correct += int((np.argmax(dom.data, axis=1) == k).sum())
     return correct / (len(stats_list) * len(scenes))
 

@@ -9,7 +9,8 @@ blocks whose normalization layers are modulated by that domain's frozen
 channel statistics: each block runs conv -> TAD -> ReLU -> conv -> TAD with
 an additive skip, and TAD instance-normalizes its input then rescales by
 FC(sigma) and shifts by FC(mu).  Nothing in the model is per-domain; only
-the statistics vectors select the target.
+the statistics vectors select the target, so a batch's style pair and
+content are extracted once and restyled toward any number of targets.
 
 One critic, shared by every target, carries a trunk with a patch-logit head
 (real/fake per patch) and a domain-classification head.  Real/fake terms use
@@ -199,11 +200,10 @@ class MtdtModel:
         h = upsample_nearest2x(h)
         return conv2d(h, self.gen3, stride=1, pad=1)
 
-    def transfer_image(self, image: Tensor, label: np.ndarray,
+    def transfer_image(self, style: tuple[Tensor, Tensor], content: Tensor,
                        stats: DomainStatistics) -> Tensor:
-        """Full restyling pipeline: style -> transfer -> gamma * content + beta
-        -> generate."""
-        style, content = self.extract_style_content(image, label)
+        """Restyle a batch from its :meth:`extract_style_content` output toward
+        `stats`: transfer -> gamma * content + beta -> generate."""
         gamma, beta = self.dst_transfer(style, [stats])
         return self.generate(gamma * content + beta)
 

@@ -59,7 +59,7 @@ absorb(logits.data, feats.data, *tape.backward(loss, [x] + net.params.tensors())
 
 # infer-restyle: forward only, batch 16 at 64 px
 img, lab = images(DEFAULT_SOURCE, 16, 64)
-absorb(model.transfer_image(Tensor(img), lab, stats[0]).data)
+absorb(model.transfer_image(*model.extract_style_content(Tensor(img), lab), stats[0]).data)
 absorb(net.forward(Tensor(img))[0].data)
 print(digest.hexdigest())
 """

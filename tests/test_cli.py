@@ -101,6 +101,15 @@ def test_adam_beta_of_one_fails_before_any_artifact(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_that_is_not_utf8_fails_before_any_artifact(tmp_path, capsys):
+    out = tmp_path / "run"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"seed=5\nsource=\xff\n")
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{path}: byte 14 is not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repeated_target_fails_before_any_artifact(tmp_path):
     out = tmp_path / "run"
     path = tmp_path / "config.txt"

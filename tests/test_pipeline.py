@@ -24,6 +24,7 @@ from mtda.pipeline import (
     transfer_dataset,
 )
 from mtda.toydata import BUILTIN_DOMAINS, Scenes, export, generate, load
+from mtda.transfer import MtdtModel
 
 
 def mini_cfg(tmp_path, **over):
@@ -214,11 +215,10 @@ def test_domain_classifier_scores_the_clamped_restyled_images(tmp_path):
 
     forward = disc.forward
     restyled, correct = [], 0
-    for k, stats in enumerate(stats_list):
-        images = transfer_dataset(model, data.source_eval, stats).images
-        _, dom = forward(Tensor(images))
+    for k, scenes in enumerate(transfer_dataset(model, data.source_eval, stats_list)):
+        _, dom = forward(Tensor(scenes.images))
         correct += int((np.argmax(dom.data, axis=1) == k).sum())
-        restyled.append(images)
+        restyled.append(scenes.images)
     assert np.abs(restyled[0]).max() == 1.0
 
     seen = []
@@ -231,3 +231,41 @@ def test_domain_classifier_scores_the_clamped_restyled_images(tmp_path):
     acc = domain_classifier_accuracy(model, disc, data.source_eval, stats_list)
     assert acc == correct / (len(stats_list) * len(data.source_eval))
     np.testing.assert_array_equal(np.concatenate(seen), np.concatenate(restyled))
+
+
+def _restyle_setup(tmp_path):
+    """19 source scenes, one chunk of 16 and one of 3, and two targets' statistics."""
+    cfg = mini_cfg(tmp_path, train_scenes=19)
+    data = build_datasets(cfg)
+    model, _, _ = init_models(cfg)
+    stats_list, _ = phase_stats(cfg, model, data, tmp_path)
+    return model, data.source_train, stats_list
+
+
+def test_transfer_dataset_restyles_each_chunk_toward_every_target(tmp_path):
+    model, scenes, stats_list = _restyle_setup(tmp_path)
+    restyled = transfer_dataset(model, scenes, stats_list)
+    assert len(restyled) == len(stats_list) == 2
+    for result, stats in zip(restyled, stats_list):
+        want = np.concatenate([
+            np.clip(model.transfer_image(*model.extract_style_content(
+                Tensor(scenes.images[rows]), scenes.labels[rows]), stats).data, -1.0, 1.0)
+            for rows in (slice(0, 16), slice(16, 19))])
+        assert result.images.tobytes() == want.tobytes()
+        assert result.labels is scenes.labels
+
+
+def test_transfer_dataset_extracts_each_chunk_once_for_every_target(tmp_path, monkeypatch):
+    model, scenes, stats_list = _restyle_setup(tmp_path)
+    calls = {"extract_style": 0, "transfer_image": 0}
+    for name in calls:
+        method = getattr(MtdtModel, name)
+
+        def spy(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(MtdtModel, name, spy)
+    transfer_dataset(model, scenes, stats_list)
+    # two chunks: one extraction each, then one restyle per (target, chunk)
+    assert calls == {"extract_style": 2, "transfer_image": 4}
