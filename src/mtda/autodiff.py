@@ -1,6 +1,7 @@
 """Dense float64 tensors with a tape-based reverse-mode backward pass.
 
 Everything the transfer and task networks need lives here: convolution,
+a nearest 2x upsample fused with the 3x3 convolution after it,
 fully-connected, instance normalization, ReLU, the loss functions, and a
 handful of structural ops (concat/slice on channels, nearest upsampling,
 channel-wise affine modulation, global average pooling, batch tiling).
@@ -26,6 +27,17 @@ in cache for its GEMM.  Backward takes ``dw`` and ``db`` from the same
 transposed convolution (a second im2col GEMM with the flipped kernel) at
 stride 1; at larger strides, where that GEMM would mostly multiply zeros,
 ``g @ w`` is scattered back with kh*kw slice-adds into an NHWC buffer.
+
+``upsample_conv2d`` is a 3x3 conv over a nearest 2x upsample, run as the
+sub-pixel convolution of Shi et al. (*Real-Time Single Image and Video
+Super-Resolution Using an Efficient Sub-Pixel CNN*, CVPR 2016).  Output row
+2i+a reads low-res rows i-1, i with kernel rows k0, k1+k2 when a = 0, and
+rows i, i+1 with k0+k1, k2 when a = 1; columns likewise.  A fixed 0/1 map
+folds the (Co, C, 3, 3) kernel into a (4*Co, C, 3, 3) kernel, one block of
+Co per output phase (a, b); one padded 3x3 ``conv2d`` over the low-res input
+gives the four phase maps, and a depth-to-space shuffle interleaves them.
+Each of the fold, the bias tiling and the shuffle is a recorded op whose
+vjp is its transpose, so ``conv2d``'s own vjp does the heavy backward work.
 """
 
 from __future__ import annotations
@@ -432,6 +444,60 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
         return (even[..., 0::2] + even[..., 1::2]) + (odd[..., 0::2] + odd[..., 1::2]),
 
     return _emit(out, (x,), vjp)
+
+
+# Along one axis, (phase, tap at low-res offset -1/0/+1, kernel tap): phase 0
+# reads offsets -1, 0 with k0, k1+k2; phase 1 reads offsets 0, +1 with k0+k1, k2.
+_AXIS_FOLD = np.array([[[1, 0, 0], [0, 1, 1], [0, 0, 0]],
+                       [[0, 0, 0], [1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+# (36, 9): a 3x3 kernel's taps (p, q) -> rows (a, b, r, s), the taps (r, s) of
+# output phase (a, b)
+_PHASE_FOLD = np.einsum("arp,bsq->abrspq", _AXIS_FOLD, _AXIS_FOLD).reshape(36, 9)
+
+
+def _fold_phases(w: Tensor) -> Tensor:
+    """(Co, C, 3, 3) kernel -> (4*Co, C, 3, 3), one block of Co per phase."""
+    Co, C = w.shape[:2]
+    out = (w.data.reshape(Co * C, 9) @ _PHASE_FOLD.T).reshape(Co, C, 4, 3, 3)
+
+    def vjp(g: np.ndarray):
+        g = g.reshape(4, Co, C, 9).transpose(1, 2, 0, 3).reshape(Co * C, 36)
+        return (g @ _PHASE_FOLD).reshape(Co, C, 3, 3),
+
+    return _emit(out.transpose(2, 0, 1, 3, 4).reshape(4 * Co, C, 3, 3), (w,), vjp)
+
+
+def _tile_phases(b: Tensor) -> Tensor:
+    """(Co,) bias -> (4*Co,), one copy per phase."""
+    def vjp(g: np.ndarray):
+        return g.reshape(4, -1).sum(axis=0),
+
+    return _emit(np.tile(b.data, 4), (b,), vjp)
+
+
+def _depth_to_space(y: Tensor) -> Tensor:
+    """(B, 4*Co, H, W) phase maps -> (B, Co, 2H, 2W); phase (a, b) fills the
+    pixels (2i+a, 2j+b)."""
+    B, C4, H, W = y.shape
+    Co = C4 // 4
+    out = y.data.reshape(B, 2, 2, Co, H, W).transpose(0, 3, 4, 1, 5, 2)
+    out = out.reshape(B, Co, 2 * H, 2 * W)
+
+    def vjp(g: np.ndarray):
+        return g.reshape(B, Co, H, 2, W, 2).transpose(0, 3, 5, 1, 2, 4).reshape(B, C4, H, W),
+
+    return _emit(out, (y,), vjp)
+
+
+def upsample_conv2d(x: Tensor, p: LayerParams) -> Tensor:
+    """``conv2d(upsample_nearest2x(x), p, stride=1, pad=1)`` for a 3x3 kernel,
+    run at x's resolution: one conv with the kernel folded per output phase,
+    then a depth-to-space shuffle.  Folding pre-sums kernel taps, so results
+    match the upsample-then-conv order to rounding, not bit for bit."""
+    if p.weights.shape[2:] != (3, 3):
+        raise ShapeError(f"upsample_conv2d needs a 3x3 kernel, got {p.weights.shape}")
+    phases = LayerParams(_fold_phases(p.weights), _tile_phases(p.bias))
+    return _depth_to_space(conv2d(x, phases, stride=1, pad=1))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:

@@ -137,8 +137,15 @@ def check_out_dir(cfg: ExperimentConfig) -> None:
     stored ``out_dir`` is not compared: it names this directory under one
     spelling, and ``runs/x/``, ``./runs/x`` or the absolute path name it too.
     A ``config.txt`` that does not parse is refused, and a directory without
-    one is accepted."""
-    path = Path(cfg.out_dir) / "config.txt"
+    one is accepted.  So is a path that does not exist yet, unless the
+    nearest existing part of it is not a directory: no run could write there."""
+    out = Path(cfg.out_dir)
+    for part in (out, *out.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ConfigError(f"output path {out}: {part} exists and is not a directory")
+            break
+    path = out / "config.txt"
     if not path.is_file():
         return
     try:

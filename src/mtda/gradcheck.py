@@ -43,6 +43,7 @@ from .autodiff import (
     slice_channels,
     softmax_cross_entropy,
     tensor_sum,
+    upsample_conv2d,
     upsample_nearest2x,
 )
 from .layers import conv_params, fc_params
@@ -138,6 +139,13 @@ def _build_conv(shape: tuple[int, ...], out_ch: int, k: int, stride: int, pad: i
         return (_probed(lambda: conv2d(x, p, stride=stride, pad=pad), rng.derive("probe")),
                 targets)
     return build
+
+
+def _build_upsample_conv(rng):
+    x = _rand(rng, 2, 3, 3, 4)
+    p = conv_params(rng, 3, 4)
+    return (_probed(lambda: upsample_conv2d(x, p), rng.derive("probe")),
+            [x, p.weights, p.bias])
 
 
 def _build_unary(op: Callable[[Tensor], Tensor], shape: tuple[int, ...], make=_rand):
@@ -273,6 +281,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("conv2d_frozen_weights", _build_conv((2, 3, 5, 5), 4, k=3, stride=2, pad=1,
                                           frozen_weights=True)),
     ("repeat_batch", _build_unary(lambda x: repeat_batch(x, 3), (2, 3, 4, 4))),
+    ("upsample_conv2d", _build_upsample_conv),
 ]
 
 

@@ -8,7 +8,9 @@ magic and u32 count, in one file: its names and shapes are read back with
 
 Archives are streamed entry by entry to ``<path>.tmp`` and moved over
 ``<path>`` with ``os.replace``, so an interrupted write leaves the previous
-file, never a truncated one.  Readers likewise take each record from the
+file, never a truncated one.  An entry that is not already float64, such as
+an int64 label map, is converted one bounded block of rows at a time rather
+than copied whole.  Readers likewise take each record from the
 open file straight into its own array, after checking its bounds against
 the file's size.
 """
@@ -101,14 +103,23 @@ def _replacing(path: Path):
         raise
 
 
+# Bytes of float64 converted per write: an array of another dtype, such as
+# int64 labels, is written block by block instead of as one float64 copy.
+_WRITE_BLOCK_BYTES = 1 << 20
+
+
 def write_archive(path: str | Path, named: dict[str, np.ndarray]) -> None:
     with _replacing(Path(path)) as fh:
         fh.write(ARCHIVE_MAGIC + struct.pack("<I", len(named)))
         for name, a in named.items():
-            a = np.asarray(a, dtype="<f8")
+            a = np.asarray(a)
             enc = name.encode("utf-8")
             fh.write(struct.pack("<I", len(enc)) + enc + _tensor_header(a.shape))
-            fh.write(np.ascontiguousarray(a).data)
+            rows = np.atleast_1d(a)
+            step = max(1, _WRITE_BLOCK_BYTES // (8 * max(1, math.prod(rows.shape[1:]))))
+            for i in range(0, len(rows), step):
+                # a view when the rows already are contiguous little-endian float64
+                fh.write(np.ascontiguousarray(rows[i : i + step], dtype="<f8").data)
 
 
 def _read_entries(fh, size: int, path: Path) -> dict[str, np.ndarray]:

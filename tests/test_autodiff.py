@@ -23,6 +23,7 @@ from mtda.autodiff import (
     sigmoid_bce_with_logits,
     softmax_cross_entropy,
     tensor_sum,
+    upsample_conv2d,
     upsample_nearest2x,
 )
 from mtda.layers import conv_params, fc_params
@@ -300,6 +301,32 @@ class TestBackward:
         # any two orders of the three additions differ by under 4 eps x the sum of magnitudes
         tol = 4 * np.finfo(np.float64).eps * np.abs(copies).sum(axis=(3, 5))
         assert (np.abs(grad - copies.sum(axis=(3, 5))) <= tol).all()
+
+    @pytest.mark.parametrize("shape, out_ch", [
+        ((2, 16, 16, 16), 3), ((4, 32, 8, 8), 16), ((1, 2, 4, 5), 3), ((1, 1, 1, 1), 2)])
+    def test_upsample_conv_matches_upsample_then_conv(self, shape, out_ch):
+        rng = SplitMix64(11)
+        x = Tensor(rng.normal(int(np.prod(shape))).reshape(shape), requires_grad=True)
+        p = conv_params(rng, shape[1], out_ch)
+        B, _, H, W = shape
+        g = Tensor(rng.normal(B * out_ch * 4 * H * W).reshape(B, out_ch, 2 * H, 2 * W))
+        results = []
+        for op in (lambda: upsample_conv2d(x, p),
+                   lambda: conv2d(upsample_nearest2x(x), p, stride=1, pad=1)):
+            with Tape() as tape:
+                y = op()
+                loss = tensor_sum(y * g)
+            results.append([y.data] + tape.backward(loss, [x, p.weights, p.bias]))
+        # folding pre-sums kernel taps, so the two orders agree to rounding only
+        for name, got, want in zip(("y", "dx", "dw", "db"), *results):
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_upsample_conv_needs_a_3x3_kernel(self, k):
+        p = conv_params(SplitMix64(1), 2, 3, k=k)
+        with pytest.raises(ShapeError, match="3x3 kernel"):
+            upsample_conv2d(Tensor(np.zeros((1, 2, 4, 4))), p)
 
     def test_l1_sign_rule(self):
         # loss = l1(a*x + b, 0) with positive a*x + b has d/dx = a

@@ -77,6 +77,19 @@ def test_empty_out_dir_fails_before_any_artifact(mini_cfg, capsys):
     assert "out_dir must not be empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train-mtdt", "adapt", "pipeline"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_that_is_a_file_fails_before_any_artifact(mini_cfg, tmp_path, capsys, command,
+                                                      below):
+    blocker = tmp_path / "notadir"
+    blocker.write_bytes(b"kept")
+    out = blocker / "run" if below else blocker
+    assert main([command, "--config", mini_cfg[1], "--out", str(out)]) == EXIT_CONFIG
+    assert f"{blocker} exists and is not a directory" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "notadir"]
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("seed=banana\n")

@@ -14,7 +14,7 @@ def test_registry_covers_each_op_once():
         "l1_loss", "mse_loss", "softmax_cross_entropy", "sigmoid_bce_with_logits",
         "channel_affine", "concat_slice_channels", "upsample_nearest2x",
         "global_avg_pool", "tad", "dst_block", "task_net", "conv2d_stride1_pad1",
-        "conv2d_1x1", "conv2d_frozen_weights", "repeat_batch"])
+        "conv2d_1x1", "conv2d_frozen_weights", "repeat_batch", "upsample_conv2d"])
 
 
 def test_small_probe_run_passes():

@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,22 @@ def test_zero_d_array_keeps_its_shape(tmp_path):
     assert back["n"].shape == () and back["n"] == 7.0
     assert back["v"].shape == (2,)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "t.bin"]
+
+
+def test_int64_entry_is_written_as_float64_without_a_whole_copy(tmp_path):
+    labels = np.arange(4 * 256 * 256, dtype=np.int64).reshape(4, 256, 256) % 5
+    path = tmp_path / "scenes.bin"
+    tracemalloc.start()
+    try:
+        write_archive(path, {"labels": labels})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = (b"ADASARCH" + struct.pack("<II", 1, 6) + b"labels" + b"ADASTNSR"
+            + struct.pack("<4I", 3, 4, 256, 256) + labels.astype("<f8").tobytes())
+    assert path.read_bytes() == want
+    # a float64 copy of the whole 2 MiB array would be this peak on its own
+    assert peak < 0.75 * labels.nbytes
 
 
 def test_failed_archive_write_keeps_the_earlier_archive(tmp_path):

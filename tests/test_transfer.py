@@ -13,11 +13,14 @@ from mtda.autodiff import (
     Tape,
     Tensor,
     clamp_unit,
+    conv2d,
     instance_norm,
     l1_loss,
     mse_loss,
+    relu,
     sigmoid_bce_with_logits,
     softmax_cross_entropy,
+    upsample_nearest2x,
 )
 from mtda.layers import ParamGroup
 from mtda.optim import Adam
@@ -189,6 +192,16 @@ class TestModel:
     def test_autoencoder_shape_roundtrip(self):
         out = self.model.generate(self.model.encode(self.image))
         assert out.shape == self.image.shape
+
+    def test_generate_matches_upsample_then_conv(self):
+        m = self.model
+        feature = m.encode(self.image)
+        h = relu(conv2d(feature, m.gen1, stride=1, pad=1))
+        h = relu(instance_norm(conv2d(upsample_nearest2x(h), m.gen2, stride=1, pad=1)))
+        want = conv2d(upsample_nearest2x(h), m.gen3, stride=1, pad=1).data
+        got = m.generate(feature).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_bad_spatial_size_names_multiple(self):
         with pytest.raises(ShapeError, match="multiple of 4"):
