@@ -87,6 +87,9 @@ class ExperimentConfig:
         if {"", ".."} & set(names) or len(set(names)) < len(names):
             raise ConfigError(f"target domains need distinct names (the last path "
                               f"component of a dataset dir), got {names}")
+        if "source" in names:
+            raise ConfigError(f"no target domain may be named 'source', got {names}: "
+                              f"transfer_grid/source_XX.ppm holds the source previews")
         if self.train_scenes < 2 or self.eval_scenes < 1:
             raise ConfigError("need at least 2 train and 1 eval scenes")
         return self
@@ -136,9 +139,10 @@ def check_out_dir(cfg: ExperimentConfig) -> None:
     so that one directory never mixes the artifacts of two configs.  The
     stored ``out_dir`` is not compared: it names this directory under one
     spelling, and ``runs/x/``, ``./runs/x`` or the absolute path name it too.
-    A ``config.txt`` that does not parse is refused, and a directory without
-    one is accepted.  So is a path that does not exist yet, unless the
-    nearest existing part of it is not a directory: no run could write there."""
+    A ``config.txt`` that does not parse or is not a file is refused, and a
+    directory without one is accepted.  So is a path that does not exist
+    yet, unless the nearest existing part of it is not a directory: no run
+    could write there."""
     out = Path(cfg.out_dir)
     for part in (out, *out.parents):
         if part.exists():
@@ -146,8 +150,10 @@ def check_out_dir(cfg: ExperimentConfig) -> None:
                 raise ConfigError(f"output path {out}: {part} exists and is not a directory")
             break
     path = out / "config.txt"
-    if not path.is_file():
+    if not path.exists():
         return
+    if not path.is_file():
+        raise ConfigError(f"output path {out}: {path} exists and is not a file")
     try:
         stored = parse_config(path.read_text(encoding="utf-8", errors="replace"))
     except ConfigError as e:

@@ -45,7 +45,6 @@ from .transfer import (
     MtdtModel,
     MultiHeadDiscriminator,
     PerceptualNet,
-    TransferBatch,
     train_mtdt,
 )
 
@@ -172,20 +171,19 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
                pnet: PerceptualNet, data: Datasets, stats_list: list[DomainStatistics],
                out_dir: Path) -> dict:
     rng = SplitMix64(cfg.seed).derive("mtdt-sampling")
-    b = cfg.mtdt_batch
+    b, src = cfg.mtdt_batch, data.source_train
 
-    def sample_batch(_i: int) -> TransferBatch:
-        src = data.source_train
-        idx = [rng.randint(len(src)) for _ in range(b)]
-        targets = np.concatenate([t.images[[rng.randint(len(t)) for _ in range(b)]]
-                                  for t in data.targets_train])
-        return TransferBatch(Tensor(src.images[idx]), src.labels[idx], targets)
+    def batches():  # drawn as train_mtdt reads them: one batch in memory at a time
+        for _ in range(cfg.mtdt_iterations):
+            idx = [rng.randint(len(src)) for _ in range(b)]
+            targets = np.concatenate([t.images[[rng.randint(len(t)) for _ in range(b)]]
+                                      for t in data.targets_train])
+            yield src.images[idx], src.labels[idx], targets
 
     log_path = out_dir / "mtdt_log.jsonl"
     with log_path.open("w", encoding="utf-8") as fh:
         log = train_mtdt(
-            model, disc, pnet, sample_batch, stats_list,
-            iterations=cfg.mtdt_iterations,
+            model, disc, pnet, batches(), stats_list,
             log_sink=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
         )
 
@@ -205,16 +203,16 @@ def transfer_dataset(model: MtdtModel, scenes: Scenes,
                      stats_list: list[DomainStatistics]) -> list[Scenes]:
     """Restyle every scene toward each entry of `stats_list`, one result per
     entry, each sharing the labels array.  Each ``INFER_BATCH`` chunk's style
-    and content are extracted once for every target.  Outputs are clamped to
-    the image range real scenes live in."""
+    and content are extracted once for every target.  The images are
+    :meth:`MtdtModel.transfer_image`'s output, clamped to [-1,1] as in
+    training."""
     moved = [np.empty_like(scenes.images) for _ in stats_list]
     for start in range(0, len(scenes), INFER_BATCH):
         rows = slice(start, start + INFER_BATCH)
         style, content = model.extract_style_content(Tensor(scenes.images[rows]),
                                                      scenes.labels[rows])
         for images, stats in zip(moved, stats_list):
-            out = model.transfer_image(style, content, stats)
-            np.clip(out.data, -1.0, 1.0, out=images[rows])
+            images[rows] = model.transfer_image(style, content, [stats]).data
     return [Scenes(images, scenes.labels) for images in moved]
 
 
@@ -327,8 +325,8 @@ def domain_classifier_accuracy(model: MtdtModel, disc: MultiHeadDiscriminator,
     """Fraction of held-out restyled images whose domain head picks their target.
 
     The images are restyled by :func:`transfer_dataset`, so the critic sees
-    them clamped to [-1,1], as in training and as ``phase_transfer`` writes
-    them."""
+    the same clamped :meth:`MtdtModel.transfer_image` output as in training
+    and as ``phase_transfer`` writes."""
     correct = 0
     for k, restyled in enumerate(transfer_dataset(model, scenes, stats_list)):
         _, dom = disc.forward(Tensor(restyled.images))

@@ -14,6 +14,9 @@ content are extracted once and restyled toward any number of targets.
 The generator decodes a feature back to an image through one 3x3 conv and
 two nearest-2x-upsample-then-3x3-conv layers; each of those runs as one
 ``upsample_conv2d`` at its input's resolution, a quarter of the pixels.
+``MtdtModel.transfer_image`` is the one restyle: DST blocks, then
+``gamma * content + beta``, generate, and a clamp to [-1,1].  Training, the
+exported restyled sets and the critic's accuracy all call it.
 
 One critic, shared by every target, carries a trunk with a patch-logit head
 (real/fake per patch) and a domain-classification head.  Real/fake terms use
@@ -27,11 +30,11 @@ the restyled images.
 ``mtdt_losses`` builds every term in one forward pass over all N targets
 at once: the N target batches arrive stacked domain-major in one (N*B)
 array, the source style and content are tiled N times to match, and TAD
-reads one statistics row per sample, so one restyle, one perceptual and
-three critic passes serve every target.  A training iteration records that
-pass on one tape and asks it twice for gradients: the generator total's
-with respect to the generator parameters, then the critic total's with
-respect to the critic parameters.
+reads one statistics row per sample, so one ``transfer_image`` call, one
+perceptual and three critic passes serve every target.  A training
+iteration records that pass on one tape and asks it twice for gradients:
+the generator total's with respect to the generator parameters, then the
+critic total's with respect to the critic parameters.
 """
 
 from __future__ import annotations
@@ -205,11 +208,13 @@ class MtdtModel:
         return upsample_conv2d(h, self.gen3)
 
     def transfer_image(self, style: tuple[Tensor, Tensor], content: Tensor,
-                       stats: DomainStatistics) -> Tensor:
+                       stats: list[DomainStatistics]) -> Tensor:
         """Restyle a batch from its :meth:`extract_style_content` output toward
-        `stats`: transfer -> gamma * content + beta -> generate."""
-        gamma, beta = self.dst_transfer(style, [stats])
-        return self.generate(gamma * content + beta)
+        `stats` (one entry for the whole batch or one per sample, as in TAD):
+        transfer -> gamma * content + beta -> generate -> clamp to [-1,1],
+        the range real scenes live in."""
+        gamma, beta = self.dst_transfer(style, stats)
+        return clamp_unit(self.generate(gamma * content + beta))
 
 
 class MultiHeadDiscriminator:
@@ -272,13 +277,6 @@ class PerceptualNet:
 
 
 @dataclass
-class TransferBatch:
-    source_image: Tensor            # (B,3,H,W)
-    source_label: np.ndarray        # (B,H,W) int
-    targets: np.ndarray             # (N*B,3,H,W), domain-major: rows k*B.. are target k
-
-
-@dataclass
 class LossTerms:
     rec: Tensor
     per: Tensor
@@ -309,50 +307,52 @@ class LossTerms:
 
 
 def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualNet,
-                batch: TransferBatch, stats_list: list[DomainStatistics]) -> LossTerms:
+                batch: tuple[np.ndarray, np.ndarray, np.ndarray],
+                stats_list: list[DomainStatistics]) -> LossTerms:
     """Every objective term in one pass over all targets.
 
-    ``batch.targets`` stacks the N target batches domain-major into one (N*B)
-    batch: rows k*B .. k*B+B-1 belong to target k, are restyled with
-    ``stats_list[k]`` and carry domain label k.  Their encoded features,
-    ``model.encode(targets)``, feed the target reconstruction term.  The
-    discriminator terms see the restyled images detached, so the
-    discriminator total depends only on discriminator parameters.  The generator total depends on the
-    generator-side parameters and, through the critic's view of the
-    restyled images, on the discriminator parameters too; :func:`train_mtdt`
-    asks each total only for its own side's gradients.
+    ``batch`` is ``(source_images, source_labels, target_images)``: (B,3,H,W)
+    images, their (B,H,W) integer labels, and the N target batches stacked
+    domain-major into one (N*B,3,H,W) array.  Rows k*B .. k*B+B-1 belong to
+    target k, carry domain label k, and are what the source is restyled
+    toward with ``stats_list[k]``, by one :meth:`MtdtModel.transfer_image`
+    call over the source style and content tiled N times.  The target
+    reconstruction term reads ``model.encode(targets)``.  The critic's own
+    terms see the restyled images as a fresh leaf, so the discriminator
+    total depends only on discriminator parameters.  The generator total
+    depends on the generator-side parameters and, through the critic's view
+    of the restyled images, on the discriminator parameters too;
+    :func:`train_mtdt` asks each total only for its own side's gradients.
     """
+    source_images, source_labels, target_images = batch
     n = len(stats_list)
-    b = batch.source_image.shape[0]
-    if len(batch.targets) != n * b:
-        raise ValueError(f"{n} statistics for {len(batch.targets)} target rows; "
+    b = len(source_images)
+    if len(target_images) != n * b:
+        raise ValueError(f"{n} statistics for {len(target_images)} target rows; "
                          f"{n} domains of {b} source rows need {n * b}")
     if n != disc.num_domains:
         raise ValueError(f"discriminator expects {disc.num_domains} domains, got {n}")
-    targets = Tensor(batch.targets)
+    source, targets = Tensor(source_images), Tensor(target_images)
     domains = np.repeat(np.arange(n), b)
 
-    (gamma, beta), content = model.extract_style_content(batch.source_image,
-                                                         batch.source_label)
-    rec = l1_loss(model.generate(model.encode(batch.source_image)), batch.source_image)
-    rec = rec + l1_loss(model.generate(gamma * content + beta), batch.source_image)
+    (gamma, beta), content = model.extract_style_content(source, source_labels)
+    rec = l1_loss(model.generate(model.encode(source)), source)
+    rec = rec + l1_loss(model.generate(gamma * content + beta), source)
     # every per-domain term is a mean over B rows, so n * (mean over the N*B
     # stacked rows) is the sum over domains of the per-domain means
     rec = rec + n * l1_loss(model.generate(model.encode(targets)), targets)
 
-    # the raw generator output is unbounded; every loss that compares a
-    # restyled image with real (clamped) data sees it squashed to [-1,1]
     rows = [stats for stats in stats_list for _ in range(b)]
-    gamma, beta = model.dst_transfer((repeat_batch(gamma, n), repeat_batch(beta, n)), rows)
-    fake = clamp_unit(model.generate(gamma * repeat_batch(content, n) + beta))
-    per = n * mse_loss(pnet.features(fake), repeat_batch(pnet.features(batch.source_image), n))
+    fake = model.transfer_image((repeat_batch(gamma, n), repeat_batch(beta, n)),
+                                repeat_batch(content, n), rows)
+    per = n * mse_loss(pnet.features(fake), repeat_batch(pnet.features(source), n))
 
     patch_fake, dom_fake = disc.forward(fake)
     adv_g = n * sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
     cls_g = n * softmax_cross_entropy(dom_fake, domains)
 
     patch_real, dom_real = disc.forward(targets)
-    patch_fake_d, _ = disc.forward(fake.detach())
+    patch_fake_d, _ = disc.forward(Tensor(fake.data))
     adv_d = n * (sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
                  + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape)))
     cls_d = n * softmax_cross_entropy(dom_real, domains)
@@ -365,17 +365,17 @@ DISC_LR_FACTOR = 2.0
 
 
 def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualNet,
-               sample_batch, stats_list: list[DomainStatistics], *,
-               iterations: int, log_sink=None) -> list[dict]:
-    """Alternating generator/discriminator optimization.
+               batches, stats_list: list[DomainStatistics], *, log_sink=None) -> list[dict]:
+    """Alternating generator/discriminator optimization, one iteration per
+    ``(source_images, source_labels, target_images)`` batch of the iterable
+    ``batches``, which is read one batch at a time.
 
-    ``sample_batch(i)`` must return the iteration's :class:`TransferBatch`.
     Each iteration records :func:`mtdt_losses` on one tape and asks it for
     two gradients: the generator total's with respect to the generator
     parameters only, which drives the generator step, and the critic
     total's with respect to the critic parameters only, which drives the
     critic step.  Both come from the one recorded pass, so the critic step
-    sees the restyled images detached and the critic's weights from before
+    sees the restyled images as a leaf and the critic's weights from before
     either step.  The critic runs on a faster timescale
     (DISC_LR_FACTOR x the generator rate): with one step each per iteration
     and a shared rate, the much larger generator tracks the critic's
@@ -390,9 +390,9 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     gen_params, disc_params = model.params.tensors(), disc.params.tensors()
     log: list[dict] = []
 
-    for i in range(iterations):
+    for i, batch in enumerate(batches):
         with Tape() as tape:
-            terms = mtdt_losses(model, disc, pnet, sample_batch(i), stats_list)
+            terms = mtdt_losses(model, disc, pnet, batch, stats_list)
             loss_g = terms.generator_total
             loss_d = terms.discriminator_total
         adam_g.step(gen_params, tape.backward(loss_g, gen_params))

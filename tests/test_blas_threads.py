@@ -21,8 +21,7 @@ from mtda.rng import SplitMix64
 from mtda.stats import DomainStatistics
 from mtda.taskseg import TaskNet
 from mtda.toydata import DEFAULT_SOURCE, DEFAULT_TARGETS, generate
-from mtda.transfer import (MtdtModel, MultiHeadDiscriminator, PerceptualNet,
-                           TransferBatch, train_mtdt)
+from mtda.transfer import MtdtModel, MultiHeadDiscriminator, PerceptualNet, train_mtdt
 
 digest = hashlib.sha256()
 
@@ -42,9 +41,8 @@ stats = [DomainStatistics(mu=rng.normal(32), sigma=np.abs(rng.normal(32)) + 0.3,
 model = MtdtModel(4, rng.derive("m"))
 disc = MultiHeadDiscriminator(len(DEFAULT_TARGETS), rng.derive("d"))
 src_img, src_lab = images(DEFAULT_SOURCE, 2, 32)
-batch = TransferBatch(source_image=Tensor(src_img), source_label=src_lab,
-                      targets=np.concatenate([images(s, 2, 32)[0] for s in DEFAULT_TARGETS]))
-log = train_mtdt(model, disc, PerceptualNet(3), lambda i: batch, stats, iterations=1)
+batch = (src_img, src_lab, np.concatenate([images(s, 2, 32)[0] for s in DEFAULT_TARGETS]))
+log = train_mtdt(model, disc, PerceptualNet(3), [batch], stats)
 absorb(np.array([log[0][k] for k in sorted(log[0])], dtype=float),
        *(t.data for t in model.params.tensors() + disc.params.tensors()))
 
@@ -59,7 +57,7 @@ absorb(logits.data, feats.data, *tape.backward(loss, [x] + net.params.tensors())
 
 # infer-restyle: forward only, batch 16 at 64 px
 img, lab = images(DEFAULT_SOURCE, 16, 64)
-absorb(model.transfer_image(*model.extract_style_content(Tensor(img), lab), stats[0]).data)
+absorb(model.transfer_image(*model.extract_style_content(Tensor(img), lab), stats[:1]).data)
 absorb(net.forward(Tensor(img))[0].data)
 print(digest.hexdigest())
 """

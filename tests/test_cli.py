@@ -90,6 +90,29 @@ def test_out_that_is_a_file_fails_before_any_artifact(mini_cfg, tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "notadir"]
 
 
+@pytest.mark.parametrize("command", ["train-mtdt", "adapt", "pipeline"])
+def test_out_whose_config_is_a_directory_fails_before_any_artifact(mini_cfg, tmp_path, capsys,
+                                                                   monkeypatch, command):
+    monkeypatch.setattr("mtda.pipeline.build_datasets", lambda cfg: pytest.fail("generated"))
+    blocker = tmp_path / "out" / "config.txt"
+    blocker.mkdir(parents=True)
+    out = blocker.parent
+    assert main([command, "--config", mini_cfg[1], "--out", str(out)]) == EXIT_CONFIG
+    assert f"{blocker} exists and is not a file" in capsys.readouterr().err
+    assert list(out.rglob("*")) == [blocker]
+
+
+@pytest.mark.parametrize("command", ["train-mtdt", "adapt", "pipeline"])
+def test_target_named_source_fails_before_any_artifact(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("mtda.pipeline.build_datasets", lambda cfg: pytest.fail("generated"))
+    path = tmp_path / "config.txt"
+    path.write_text("seed=5\ntargets=source,dusk\ntrain_scenes=6\neval_scenes=2\n")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "transfer_grid/source_XX.ppm holds the source previews" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("seed=banana\n")

@@ -80,6 +80,13 @@ def test_validation_bounds():
             ExperimentConfig(targets=targets).validate()
 
 
+@pytest.mark.parametrize("targets", [("source", "dusk"), ("dusk", "/data/a/source")])
+def test_target_named_source_is_refused(targets):
+    # its previews would overwrite transfer_grid/source_XX.ppm
+    with pytest.raises(ConfigError, match="named 'source'"):
+        ExperimentConfig(targets=targets).validate()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 6])
 def test_seed_must_be_u64(seed):
     # each of these ran the stream of a valid seed under another config hash

@@ -35,7 +35,6 @@ from mtda.transfer import (
     MultiHeadDiscriminator,
     PerceptualNet,
     TadResBlock,
-    TransferBatch,
     mtdt_losses,
     tad_forward,
     train_mtdt,
@@ -172,8 +171,8 @@ class TestDstBlock:
         s1 = rand_stats(rng, 32)
         s2 = rand_stats(rng, 32)
         style, content = model.extract_style_content(Tensor(imgs), labels)
-        out1 = model.transfer_image(style, content, s1).data
-        out2 = model.transfer_image(style, content, s2).data
+        out1 = model.transfer_image(style, content, [s1]).data
+        out2 = model.transfer_image(style, content, [s2]).data
         assert np.abs(out1 - out2).max() > 1e-8
 
 
@@ -225,10 +224,20 @@ class TestModel:
     def test_transfer_image_shape_and_determinism(self):
         stats = rand_stats(self.rng, 32)
         a, b = (self.model.transfer_image(
-            *self.model.extract_style_content(self.image, self.labels), stats).data
+            *self.model.extract_style_content(self.image, self.labels), [stats]).data
             for _ in range(2))
         assert a.shape == (2, 3, 32, 32)
         assert (a == b).all()
+
+    def test_transfer_image_clamps_to_the_image_range(self):
+        self.model.gen3.bias.data[:] = [3.0, -3.0, 0.0]  # raw output far outside [-1,1]
+        style, content = self.model.extract_style_content(self.image, self.labels)
+        stats = [rand_stats(self.rng, 32)]
+        gamma, beta = self.model.dst_transfer(style, stats)
+        raw = self.model.generate(gamma * content + beta).data
+        assert np.abs(raw).max() > 1.0
+        out = self.model.transfer_image(style, content, stats).data
+        np.testing.assert_array_equal(out, np.clip(raw, -1.0, 1.0))
 
     def test_parameter_inventory_is_domain_free(self):
         names = list(self.model.params.state_arrays())
@@ -240,15 +249,17 @@ class TestModel:
 def looped_losses(model, disc, pnet, batch, stats_list):
     """The one-pass-per-target form of the objective: the oracle that the
     stacked (N*B) batch of ``mtdt_losses`` must reproduce."""
-    b = batch.source_image.shape[0]
-    (gamma, beta), content = model.extract_style_content(batch.source_image, batch.source_label)
-    rec = l1_loss(model.generate(model.encode(batch.source_image)), batch.source_image)
-    rec = rec + l1_loss(model.generate(gamma * content + beta), batch.source_image)
+    source_images, source_labels, target_images = batch
+    b = len(source_images)
+    source = Tensor(source_images)
+    (gamma, beta), content = model.extract_style_content(source, source_labels)
+    rec = l1_loss(model.generate(model.encode(source)), source)
+    rec = rec + l1_loss(model.generate(gamma * content + beta), source)
     per = adv_g = cls_g = adv_d = cls_d = Tensor(0.0)
-    p_src = pnet.features(batch.source_image)
+    p_src = pnet.features(source)
     for k, stats in enumerate(stats_list):
         domain = np.full(b, k)
-        target = Tensor(batch.targets[k * b : (k + 1) * b])
+        target = Tensor(target_images[k * b : (k + 1) * b])
         rec = rec + l1_loss(model.generate(model.encode(target)), target)
         moved_gamma, moved_beta = model.dst_transfer((gamma, beta), [stats])
         fake = clamp_unit(model.generate(moved_gamma * content + moved_beta))
@@ -257,7 +268,7 @@ def looped_losses(model, disc, pnet, batch, stats_list):
         adv_g = adv_g + sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
         cls_g = cls_g + softmax_cross_entropy(dom_fake, domain)
         patch_real, dom_real = disc.forward(target)
-        patch_fake_d, _ = disc.forward(fake.detach())
+        patch_fake_d, _ = disc.forward(Tensor(fake.data))
         adv_d = adv_d + sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
         adv_d = adv_d + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape))
         cls_d = cls_d + softmax_cross_entropy(dom_real, domain)
@@ -270,11 +281,7 @@ def loss_setup(n):
     src = generate(DEFAULT_SOURCE, seed=1, count=2, h=32, w=32)
     targets = [generate(DEFAULT_TARGETS[k % len(DEFAULT_TARGETS)], seed=2 + k, count=2,
                         h=32, w=32) for k in range(n)]
-    batch = TransferBatch(
-        source_image=Tensor(src.images),
-        source_label=src.labels,
-        targets=np.concatenate([t.images for t in targets]),
-    )
+    batch = (src.images, src.labels, np.concatenate([t.images for t in targets]))
     rng = SplitMix64(41)
     return (MtdtModel(4, seed.derive("m")), MultiHeadDiscriminator(n, seed.derive("d")),
             PerceptualNet(3), batch, [rand_stats(rng, 32) for _ in range(n)])
@@ -326,19 +333,15 @@ class TestLossStack:
         self.disc = MultiHeadDiscriminator(2, seed.derive("d"))
         self.pnet = PerceptualNet(3)
         src = generate(DEFAULT_SOURCE, seed=1, count=2, h=32, w=32)
-        self.batch = TransferBatch(
-            source_image=Tensor(src.images),
-            source_label=src.labels,
-            targets=np.concatenate([generate(spec, seed=2, count=2, h=32, w=32).images
-                                    for spec in DEFAULT_TARGETS]),
-        )
+        self.batch = (src.images, src.labels,
+                      np.concatenate([generate(spec, seed=2, count=2, h=32, w=32).images
+                                      for spec in DEFAULT_TARGETS]))
         rng = SplitMix64(31)
         self.stats = [rand_stats(rng, 32) for _ in range(2)]
 
     def test_training_step_is_freed_by_reference_counting(self):
         def step():
-            train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats,
-                       iterations=1)
+            train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats)
 
         step()  # warm-up: lazy imports and one-time caches
         gc.collect()
@@ -351,14 +354,25 @@ class TestLossStack:
 
     def test_training_rejects_stats_count_mismatch(self):
         with pytest.raises(ValueError, match="statistics for"):
-            train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats[:1],
-                       iterations=1)
+            train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats[:1])
 
     def test_training_logs_the_loss_terms(self):
         want = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats).breakdown()
-        log = train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats,
-                         iterations=1)
+        log = train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats)
         assert log == [{"iteration": 0, **want}]
+
+    def test_training_runs_one_iteration_per_batch(self):
+        sunk = []
+        log = train_mtdt(self.model, self.disc, self.pnet, [self.batch] * 3, self.stats,
+                         log_sink=sunk.append)
+        assert [r["iteration"] for r in log] == [0, 1, 2]
+        assert sunk == log
+
+    def test_training_on_no_batches_keeps_every_parameter(self):
+        before = [t.data.copy() for t in self.model.params.tensors() + self.disc.params.tensors()]
+        assert train_mtdt(self.model, self.disc, self.pnet, [], self.stats) == []
+        after = [t.data for t in self.model.params.tensors() + self.disc.params.tensors()]
+        assert all((a == b).all() for a, b in zip(before, after))
 
     def test_training_steps_each_side_on_its_own_total(self):
         # reference: each total's gradients from a tape of its own, at the
@@ -374,8 +388,7 @@ class TestLossStack:
             Adam(lr=lr, weight_decay=1e-5).step(copies, tape.backward(loss, params.tensors()))
             want.update(zip(params.state_arrays(), (c.data for c in copies)))
 
-        train_mtdt(self.model, self.disc, self.pnet, lambda i: self.batch, self.stats,
-                   iterations=1)
+        train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats)
         got = {}
         for params in (self.model.params, self.disc.params):
             got.update(zip(params.state_arrays(), params.tensors()))
@@ -395,14 +408,13 @@ class TestLossStack:
         from mtda.autodiff import l1_loss
 
         terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
-        (gamma, beta), content = self.model.extract_style_content(
-            self.batch.source_image, self.batch.source_label)
-        want = l1_loss(self.model.generate(self.model.encode(self.batch.source_image)),
-                       self.batch.source_image).item()
-        want += l1_loss(self.model.generate(gamma * content + beta),
-                        self.batch.source_image).item()
+        source_images, source_labels, target_images = self.batch
+        source = Tensor(source_images)
+        (gamma, beta), content = self.model.extract_style_content(source, source_labels)
+        want = l1_loss(self.model.generate(self.model.encode(source)), source).item()
+        want += l1_loss(self.model.generate(gamma * content + beta), source).item()
         for k in range(2):
-            t = Tensor(self.batch.targets[2 * k : 2 * k + 2])
+            t = Tensor(target_images[2 * k : 2 * k + 2])
             want += l1_loss(self.model.generate(self.model.encode(t)), t).item()
         assert terms.rec.item() == pytest.approx(want, abs=1e-12)
 
