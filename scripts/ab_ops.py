@@ -19,7 +19,9 @@ Timed calls, after one untimed warm-up repetition:
 For each call it prints the median milliseconds per side, head over base,
 the repetitions head was faster in, and whether the two sides' outputs were
 bit-equal on every repetition: the logits for ``predict``, and the trained
-parameters for the two training calls.
+parameters for the two training calls.  Run A/A (``--base`` naming this
+checkout), every call must be bit-equal: the script exits 1 if one is not,
+since then some call is not deterministic.
 
 Example, from the root of a checkout:
     python3 scripts/ab_ops.py --base ../parent --reps 30
@@ -127,7 +129,8 @@ def main(argv=None) -> int:
     if args.reps < 1:
         ap.error(f"--reps must be >= 1, got {args.reps}")
 
-    base_m = load("mtda_base", args.base.resolve() / "src")
+    base_src = args.base.resolve() / "src"
+    base_m = load("mtda_base", base_src)
     head_m = load("mtda_head", HEAD_SRC)
     # one set of inputs, made by head, for both sides
     big, small = scenes(head_m, 64, 16), scenes(head_m, 32, 4)
@@ -158,6 +161,10 @@ def main(argv=None) -> int:
         wins = sum(h < b for b, h in zip(tb, th))
         print(f"{k:<24}{mb * 1e3:>10.2f}{mh * 1e3:>10.2f}{mh / mb:>11.3f}"
               f"{f'{wins}/{len(th)}':>11}{'yes' if equal[k] else 'no':>11}")
+    if base_src == HEAD_SRC and not all(equal.values()):
+        print("A/A run, yet some outputs differ: a call is not deterministic",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,20 +17,17 @@ and every op is deterministic for identical inputs.
 
 Tensors are NCHW at every op boundary.  Inside, ``conv2d`` is an im2col GEMM
 done channels-last (Chellapilla, Puri & Simard, *High Performance CNNs for
-Document Processing*, 2006): the input is copied once into a padded NHWC
-buffer, of which only the padding border is zeroed, and ``col`` holds one
-row per output pixel with columns ordered (kernel row, kernel column,
-channel), channel innermost, so every gather copies contiguous runs.  The
-weights are reordered to match, (Co, kh*kw*C).  Rows are gathered and
-multiplied a few output lines at a time (whole images when one fits) so a
-chunk is still in cache for its GEMM.  A 1x1 conv at stride 1 without
-padding needs no gather: its NHWC copy is ``col``.  The bias is added while
-the GEMM's output is copied back to NCHW.  Backward takes ``dw`` and ``db``
-from the same ``col``, only when the weights or bias need a gradient.
-``dx`` is a transposed convolution (a second im2col GEMM with the flipped
-kernel) at stride 1; at larger strides, where that GEMM would mostly
-multiply zeros, ``g @ w`` is scattered back with kh*kw slice-adds into an
-NHWC buffer.
+Document Processing*, 2006): the input is copied once into a zero-padded
+NHWC buffer, and ``col`` holds one row per output pixel with columns ordered
+(kernel row, kernel column, channel), channel innermost, so every gather
+copies contiguous runs.  The weights are reordered to match, (Co, kh*kw*C).
+Rows are gathered and multiplied a few images at a time so a chunk is still
+in cache for its GEMM.  The bias is added while the GEMM's output is
+copied back to NCHW.  Backward takes ``dw`` and ``db`` from the same
+``col``, only when the weights or bias need a gradient.  ``dx`` is a
+transposed convolution (a second im2col GEMM with the flipped kernel) at
+stride 1; at larger strides, where that GEMM would mostly multiply zeros,
+``g @ w`` is scattered back with kh*kw slice-adds into an NHWC buffer.
 
 ``upsample_conv2d`` is a 3x3 conv over a nearest 2x upsample, run as the
 sub-pixel convolution of Shi et al. (*Real-Time Single Image and Video
@@ -190,22 +187,8 @@ class LayerParams:
 
 
 # Bytes of im2col rows gathered per GEMM: a chunk stays in a core's cache from
-# its gather to its GEMM instead of making a round trip through memory.  A
-# chunk is whole images when one fits, else a few output lines of one image.
+# its gather to its GEMM instead of making a round trip through memory.
 _COL_CHUNK_BYTES = 1 << 20
-
-
-def _padded_nhwc(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """NHWC copy of the NCHW array ``a`` with ``ph`` zero rows above and below
-    and ``pw`` zero columns left and right; only that border is zeroed."""
-    B, C, H, W = a.shape
-    out = np.empty((B, H + 2 * ph, W + 2 * pw, C))
-    out[:, :ph] = 0.0
-    out[:, ph + H :] = 0.0
-    out[:, ph : ph + H, :pw] = 0.0
-    out[:, ph : ph + H, pw + W :] = 0.0
-    out[:, ph : ph + H, pw : pw + W] = a.transpose(0, 2, 3, 1)
-    return out
 
 
 def _im2col_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
@@ -213,24 +196,18 @@ def _im2col_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int
     """``(col @ wmat, col)`` for the (B*ho*wo, kh*kw*C) im2col matrix ``col``
     of the NHWC array ``xp``; ``col`` is None unless ``keep_col`` is set."""
     B, C = xp.shape[0], xp.shape[3]
-    k = kh * kw * C
+    rows, k = ho * wo, kh * kw * C
     sb, sh, sw, sc = xp.strides
     win = as_strided(xp, (B, ho, wo, kh, kw, C),
                      (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
-    # a chunk is nb images of nl output lines each: whole images (nl = ho)
-    # when one fits the budget, else a few lines of one image (nb = 1)
-    lines = max(1, _COL_CHUNK_BYTES // (8 * wo * k))
-    nb, nl = (min(B, lines // ho), ho) if lines >= ho else (1, lines)
-    out = np.empty((B * ho * wo, wmat.shape[1]))
-    col = np.empty((B * ho * wo if keep_col else nb * nl * wo, k))
-    for b0 in range(0, B, nb):
-        n = min(nb, B - b0)
-        for i0 in range(0, ho, nl):
-            m = min(nl, ho - i0)
-            r0, r1 = (b0 * ho + i0) * wo, (b0 * ho + i0 + n * m) * wo
-            c = col[r0:r1] if keep_col else col[: r1 - r0]
-            c.reshape(n, m, wo, kh, kw, C)[...] = win[b0 : b0 + n, i0 : i0 + m]
-            np.matmul(c, wmat, out=out[r0:r1])
+    per = max(1, min(B, _COL_CHUNK_BYTES // (8 * rows * k)))
+    out = np.empty((B * rows, wmat.shape[1]))
+    col = np.empty((B * rows if keep_col else per * rows, k))
+    for b0 in range(0, B, per):
+        n = min(per, B - b0)
+        c = col[b0 * rows : (b0 + n) * rows] if keep_col else col[: n * rows]
+        c.reshape(n, ho, wo, kh, kw, C)[...] = win[b0 : b0 + n]
+        np.matmul(c, wmat, out=out[b0 * rows : (b0 + n) * rows])
     return out, col if keep_col else None
 
 
@@ -256,17 +233,14 @@ def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
         )
 
     w, b = p.weights, p.bias
-    xp = _padded_nhwc(x.data, pad, pad)
+    xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
+    xp[:, pad : pad + H, pad : pad + W] = x.data.transpose(0, 2, 3, 1)
     w2d = w.data.transpose(0, 2, 3, 1).reshape(Co, kh * kw * C)
     tape = _active_tape()
     need_dx, need_dw, need_db = (
         t.requires_grad or (tape is not None and t._tape == tape._id) for t in (x, w, b))
-    if kh == kw == 1 and stride == 1 and pad == 0:
-        col = xp.reshape(B * H * W, C)
-        out2d = col @ w2d.T
-    else:
-        out2d, col = _im2col_gemm(xp, w2d.T, kh, kw, stride, Ho, Wo,
-                                  keep_col=tape is not None and need_dw)
+    out2d, col = _im2col_gemm(xp, w2d.T, kh, kw, stride, Ho, Wo,
+                              keep_col=tape is not None and need_dw)
     out = np.empty((B, Co, Ho, Wo))
     np.add(out2d.reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2), b.data[:, None, None], out=out)
 
@@ -279,7 +253,8 @@ def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
         if stride == 1:
             # transposed convolution: im2col of g padded by k-1 on every side,
             # one GEMM against the flipped kernel, read only over the interior
-            gp = _padded_nhwc(g, kh - 1, kw - 1)
+            gp = np.zeros((B, Ho + 2 * (kh - 1), Wo + 2 * (kw - 1), Co))
+            gp[:, kh - 1 : kh - 1 + Ho, kw - 1 : kw - 1 + Wo] = g2d.reshape(B, Ho, Wo, Co)
             w_flip = w2d.reshape(Co, kh, kw, C)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(-1, C)
             dx, _ = _im2col_gemm(gp[:, pad:, pad:], w_flip, kh, kw, 1, H, W, keep_col=False)
             dx = dx.reshape(B, H, W, C)
@@ -330,7 +305,7 @@ def instance_norm(x: Tensor) -> Tensor:
     xc = x.data - m
     v = (xc * xc).mean(axis=(2, 3), keepdims=True)
     istd = 1.0 / np.sqrt(v + NORM_EPS)
-    y = np.multiply(xc, istd, out=xc)
+    y = xc * istd
 
     def vjp(g: np.ndarray):
         gm = g.mean(axis=(2, 3), keepdims=True)
