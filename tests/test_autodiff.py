@@ -1,6 +1,7 @@
 """Forward oracles and backward contracts for the tensor engine."""
 
 import gc
+import sys
 
 import numpy as np
 import pytest
@@ -482,3 +483,30 @@ class TestBackward:
         a = conv2d(Tensor(x), p, 2, 1).data
         b = conv2d(Tensor(x), p, 2, 1).data
         assert (a == b).all()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc settings")
+class TestHeap:
+    def test_repeated_training_steps_reuse_freed_memory(self):
+        # a default glibc heap gives back and re-faults several MB in each such
+        # step (30k-50k faults over these ten); a kept heap faults almost none
+        rng = SplitMix64(5)
+        layers = [conv_params(rng.derive(str(i)), 16 if i else 3, 16) for i in range(6)]
+        x = rng.normal(4 * 3 * 32 * 32).reshape(4, 3, 32, 32)
+
+        def step():
+            with Tape() as tape:
+                h = Tensor(x)
+                for p in layers:
+                    h = relu(instance_norm(conv2d(h, p, 1, 1)))
+                loss = tensor_sum(h)
+            tape.backward(loss, [p.weights for p in layers])
+
+        import resource
+
+        for _ in range(3):
+            step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            step()
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
