@@ -70,6 +70,7 @@ def _keep_freed_heap() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's <malloc.h>
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 128 << 20)
