@@ -106,7 +106,7 @@ def build(m: dict, big: dict, small: dict) -> dict:
             lambda _: flat(t_net.params.tensors())),
         "train_mtdt iteration": (
             lambda: m["transfer"].train_mtdt(t_model, t_disc, t_pnet, [mtdt_batch],
-                                             stats_small),
+                                             stats_small, log_sink=lambda record: None),
             lambda _: flat(t_model.params.tensors())),
     }
 

@@ -86,15 +86,13 @@ class BarsState:
     switch_iteration: int
     iteration: int = 0
     # one per-class centroid bank per target domain and direction
-    transferred_banks: list[RunningMeanBank] = field(default_factory=list)
-    target_banks: list[RunningMeanBank] = field(default_factory=list)
+    transferred_banks: list[RunningMeanBank] = field(init=False)
+    target_banks: list[RunningMeanBank] = field(init=False)
 
     def __post_init__(self):
-        if not self.transferred_banks:
-            self.transferred_banks = [RunningMeanBank(self.num_classes, FEATURE_DIM)
-                                      for _ in range(self.num_domains)]
-            self.target_banks = [RunningMeanBank(self.num_classes, FEATURE_DIM)
-                                 for _ in range(self.num_domains)]
+        self.transferred_banks, self.target_banks = (
+            [RunningMeanBank(self.num_classes, FEATURE_DIM) for _ in range(self.num_domains)]
+            for _ in range(2))
 
 
 def _select_with_cold_start(features: np.ndarray, labels: np.ndarray,
@@ -127,7 +125,6 @@ def _update_banks_from_batch(bank: RunningMeanBank, features: np.ndarray,
 
 @dataclass
 class BarsDiagnostics:
-    domain: int
     iteration: int
     loss: float
     kept_fraction_source: float
@@ -182,17 +179,13 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
             _check_selection(feats_tgt, lab_tgt, bars_tgt, state.transferred_banks[domain],
                              what=f"target[{domain}]")
 
-        kept_src = float((bars_src != IGNORE_VALUE).mean())
-        kept_tgt = float((bars_tgt != IGNORE_VALUE).mean())
+        keep_src, keep_tgt = bars_src != IGNORE_VALUE, bars_tgt != IGNORE_VALUE
 
         loss = softmax_cross_entropy(logits_src, bars_src)
         if train_target:
             loss = loss + softmax_cross_entropy(logits_tgt, bars_tgt)
 
-        n_kept = (bars_src != IGNORE_VALUE).sum()
-        if train_target:
-            n_kept += (bars_tgt != IGNORE_VALUE).sum()
-        skipped = n_kept == 0
+        skipped = not (keep_src.any() or (train_target and keep_tgt.any()))
         if not skipped:
             params = net.params.tensors()
             optimizer.step(params, tape.backward(loss, params))
@@ -206,13 +199,12 @@ def bars_step(state: BarsState, net: TaskNet, optimizer, domain: int,
     state.iteration += 1
 
     diag = BarsDiagnostics(
-        domain=domain,
         iteration=state.iteration - 1,
         loss=float(loss.item()),
-        kept_fraction_source=kept_src,
-        kept_fraction_target=kept_tgt,
+        kept_fraction_source=float(keep_src.mean()),
+        kept_fraction_target=float(keep_tgt.mean()),
         cold_start_keeps=cold_keeps,
-        skipped=bool(skipped),
+        skipped=skipped,
         centroid_counts_transferred=[int(c) for c in state.transferred_banks[domain].counts],
         centroid_counts_target=[int(c) for c in state.target_banks[domain].counts],
     )

@@ -180,22 +180,23 @@ def phase_mtdt(cfg: ExperimentConfig, model: MtdtModel, disc: MultiHeadDiscrimin
                                       for t in data.targets_train])
             yield src.images[idx], src.labels[idx], targets
 
-    log_path = out_dir / "mtdt_log.jsonl"
-    with log_path.open("w", encoding="utf-8") as fh:
-        log = train_mtdt(
-            model, disc, pnet, batches(), stats_list,
-            log_sink=lambda rec: fh.write(json.dumps(rec, sort_keys=True) + "\n"),
-        )
+    recs: list[float] = []  # the reconstruction term of every logged iteration
+    with (out_dir / "mtdt_log.jsonl").open("w", encoding="utf-8") as fh:
+        def log_sink(record: dict) -> None:
+            recs.append(record["rec"])
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+        train_mtdt(model, disc, pnet, batches(), stats_list, log_sink=log_sink)
 
     arrays = model.params.state_arrays()
     arrays.update({f"disc/{k}": v for k, v in disc.params.state_arrays().items()})
     write_archive(out_dir / "mtdt_model.bin", arrays)
 
     metrics = {"iterations": cfg.mtdt_iterations}
-    if log:
-        window = max(1, min(100, len(log) // 4))
-        metrics["rec_first_window"] = float(np.median([r["rec"] for r in log[:window]]))
-        metrics["rec_last_window"] = float(np.median([r["rec"] for r in log[-window:]]))
+    if recs:
+        window = max(1, min(100, len(recs) // 4))
+        metrics["rec_first_window"] = float(np.median(recs[:window]))
+        metrics["rec_last_window"] = float(np.median(recs[-window:]))
     return metrics
 
 
@@ -255,7 +256,10 @@ def _task_optimizer() -> SgdMomentum:
 
 def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[Scenes],
                 out_dir: Path, verify: bool = False) -> tuple[TaskNet, dict]:
-    """Round-robin self-training over target domains with region selection."""
+    """Round-robin self-training over target domains with region selection.
+
+    Raises RuntimeError, before that step's diagnostics line is written, if
+    a step's loss is not finite."""
     rng = SplitMix64(cfg.seed).derive("adapt-sampling")
     net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
     opt = _task_optimizer()
@@ -282,8 +286,10 @@ def phase_adapt(cfg: ExperimentConfig, data: Datasets, transferred: list[Scenes]
                 filter_source=cfg.bars_source, train_target=cfg.bars_target,
                 verify=verify,
             )
-            skipped += int(diag.skipped)
             name = data.target_names[k]
+            if not np.isfinite(diag.loss):
+                raise RuntimeError(f"non-finite BARS loss at iteration {i} on target {name}")
+            skipped += int(diag.skipped)
             kept_src_last[name] = diag.kept_fraction_source
             kept_tgt_last[name] = diag.kept_fraction_target
             fh.write(json.dumps({**asdict(diag), "domain": name}, sort_keys=True) + "\n")

@@ -4,8 +4,9 @@ Every scene is a background plus three shapes -- a stripe, a rectangle and a
 disk (drawn in that order, later shapes occlude earlier ones) -- giving four
 classes.  Shape placement is driven only by (seed, scene index), so two
 domains generated with the same seed have bitwise-identical label maps and
-differ purely in appearance: each class region is colored with the domain's
-base color plus a per-class offset plus seeded Gaussian pixel noise.
+differ purely in appearance: a domain is its per-class colours and one noise
+level, and each pixel is its class's colour plus seeded Gaussian noise of
+that standard deviation on every channel, clipped to [-1, 1].
 
 The default domain set builds in one deliberate ambiguity: the disk and the
 stripe are almost indistinguishable in the source palette but far apart in
@@ -37,14 +38,12 @@ _MAX_ATTEMPTS = 64
 @dataclass(frozen=True)
 class DomainSpec:
     name: str
-    color_mean: tuple[float, float, float]
-    color_std: tuple[float, float, float]
-    noise_amplitude: float
-    class_offsets: tuple[tuple[float, float, float], ...]  # NUM_CLASSES triples
+    noise_std: float
+    class_offsets: tuple[tuple[float, float, float], ...]  # NUM_CLASSES RGB triples
 
     def __post_init__(self):
-        if any(s <= 0 for s in self.color_std):
-            raise ValueError(f"domain {self.name}: color stds must be > 0")
+        if not self.noise_std >= 0:
+            raise ValueError(f"domain {self.name}: noise_std must be >= 0")
         if len(self.class_offsets) != NUM_CLASSES:
             raise ValueError(f"domain {self.name}: need {NUM_CLASSES} class offsets")
 
@@ -93,26 +92,20 @@ def _affine_palette(scale, shift):
 
 DEFAULT_SOURCE = DomainSpec(
     name="source",
-    color_mean=(0.0, 0.0, 0.0),
-    color_std=(0.05, 0.05, 0.05),
-    noise_amplitude=1.0,
+    noise_std=0.05,
     class_offsets=_SOURCE_COLORS,
 )
 
 DEFAULT_TARGETS = (
     DomainSpec(
         name="dusk",
-        color_mean=(0.0, 0.0, 0.0),
-        color_std=(0.06, 0.06, 0.06),
-        noise_amplitude=1.0,
+        noise_std=0.06,
         # green channel inverted; disk/stripe stay ambiguous (|scale| ~ 1)
         class_offsets=_affine_palette(scale=(0.8, -1.2, 1.1), shift=(0.30, 0.0, 0.25)),
     ),
     DomainSpec(
         name="night",
-        color_mean=(0.0, 0.0, 0.0),
-        color_std=(0.04, 0.04, 0.04),
-        noise_amplitude=1.0,
+        noise_std=0.04,
         # red/blue inverted and stretched: pulls the disk/stripe pair apart
         class_offsets=_affine_palette(scale=(-1.3, 1.4, -1.2), shift=(0.10, -0.10, 0.0)),
     ),
@@ -164,11 +157,8 @@ def _draw_scene(spec: DomainSpec, base: SplitMix64, index: int,
 
     noise_rng = base.derive(index, "appearance", attempt)
     eta = noise_rng.normal(3 * h * w).reshape(3, h, w)
-    mean = np.asarray(spec.color_mean)[:, None, None]
-    std = np.asarray(spec.color_std)[:, None, None]
     offsets = np.asarray(spec.class_offsets)          # (K, 3)
-    np.clip(mean + offsets[label].transpose(2, 0, 1) + std * spec.noise_amplitude * eta,
-            -1.0, 1.0, out=image)
+    np.clip(offsets[label].transpose(2, 0, 1) + spec.noise_std * eta, -1.0, 1.0, out=image)
 
 
 def generate(spec: DomainSpec, seed: int, count: int, h: int, w: int) -> Scenes:

@@ -39,8 +39,6 @@ critic total's with respect to the critic parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import (
@@ -276,40 +274,12 @@ class PerceptualNet:
         return conv2d(h, self.c3, stride=1, pad=1)
 
 
-@dataclass
-class LossTerms:
-    rec: Tensor
-    per: Tensor
-    adv_g: Tensor
-    cls_g: Tensor
-    adv_d: Tensor
-    cls_d: Tensor
-
-    @property
-    def generator_total(self) -> Tensor:
-        return self.rec + self.per + self.adv_g + self.cls_g
-
-    @property
-    def discriminator_total(self) -> Tensor:
-        return self.adv_d + self.cls_d
-
-    def breakdown(self) -> dict[str, float]:
-        return {
-            "rec": self.rec.item(),
-            "per": self.per.item(),
-            "adv_g": self.adv_g.item(),
-            "cls_g": self.cls_g.item(),
-            "adv_d": self.adv_d.item(),
-            "cls_d": self.cls_d.item(),
-            "g_total": self.generator_total.item(),
-            "d_total": self.discriminator_total.item(),
-        }
-
-
 def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualNet,
                 batch: tuple[np.ndarray, np.ndarray, np.ndarray],
-                stats_list: list[DomainStatistics]) -> LossTerms:
-    """Every objective term in one pass over all targets.
+                stats_list: list[DomainStatistics]) -> tuple[Tensor, Tensor, dict[str, Tensor]]:
+    """Every objective term in one pass over all targets, returned as the
+    generator total ``rec + per + adv_g + cls_g``, the discriminator total
+    ``adv_d + cls_d``, and those six scalar tensors by name.
 
     ``batch`` is ``(source_images, source_labels, target_images)``: (B,3,H,W)
     images, their (B,H,W) integer labels, and the N target batches stacked
@@ -356,7 +326,9 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     adv_d = n * (sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
                  + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape)))
     cls_d = n * softmax_cross_entropy(dom_real, domains)
-    return LossTerms(rec=rec, per=per, adv_g=adv_g, cls_g=cls_g, adv_d=adv_d, cls_d=cls_d)
+    terms = {"rec": rec, "per": per, "adv_g": adv_g, "cls_g": cls_g,
+             "adv_d": adv_d, "cls_d": cls_d}
+    return rec + per + adv_g + cls_g, adv_d + cls_d, terms
 
 
 MTDT_LR = 1e-3  # the generator's Adam rate; betas and eps are optim's constants
@@ -365,7 +337,7 @@ DISC_LR_FACTOR = 2.0
 
 
 def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualNet,
-               batches, stats_list: list[DomainStatistics], *, log_sink=None) -> list[dict]:
+               batches, stats_list: list[DomainStatistics], *, log_sink) -> None:
     """Alternating generator/discriminator optimization, one iteration per
     ``(source_images, source_labels, target_images)`` batch of the iterable
     ``batches``, which is read one batch at a time.
@@ -380,28 +352,25 @@ def train_mtdt(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: PerceptualN
     (DISC_LR_FACTOR x the generator rate): with one step each per iteration
     and a shared rate, the much larger generator tracks the critic's
     boundary and pins it at chance, and the restyled branch then collapses.
+    Each iteration passes ``log_sink`` one record: ``iteration``, the six
+    terms and the two totals ``g_total`` and ``d_total``, as floats read from
+    the tensors the two steps were taken on.
     Raises ValueError if ``stats_list`` does not match the batch's target rows
-    and the critic's domains, and RuntimeError if any loss goes non-finite.
-    Returns the per-iteration loss records (also passed to ``log_sink`` when
-    given).
+    and the critic's domains, and RuntimeError, before the record reaches
+    ``log_sink``, if any loss goes non-finite.
     """
     adam_g = Adam(lr=MTDT_LR, weight_decay=MTDT_WEIGHT_DECAY)
     adam_d = Adam(lr=MTDT_LR * DISC_LR_FACTOR, weight_decay=MTDT_WEIGHT_DECAY)
     gen_params, disc_params = model.params.tensors(), disc.params.tensors()
-    log: list[dict] = []
 
     for i, batch in enumerate(batches):
         with Tape() as tape:
-            terms = mtdt_losses(model, disc, pnet, batch, stats_list)
-            loss_g = terms.generator_total
-            loss_d = terms.discriminator_total
+            loss_g, loss_d, terms = mtdt_losses(model, disc, pnet, batch, stats_list)
         adam_g.step(gen_params, tape.backward(loss_g, gen_params))
         adam_d.step(disc_params, tape.backward(loss_d, disc_params))
 
-        record = {"iteration": i, **terms.breakdown()}
+        record = {"iteration": i, **{name: t.item() for name, t in terms.items()},
+                  "g_total": loss_g.item(), "d_total": loss_d.item()}
         if not all(np.isfinite(v) for v in record.values()):
             raise RuntimeError(f"non-finite loss at iteration {i}: {record}")
-        log.append(record)
-        if log_sink is not None:
-            log_sink(record)
-    return log
+        log_sink(record)

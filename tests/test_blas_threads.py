@@ -42,7 +42,8 @@ model = MtdtModel(4, rng.derive("m"))
 disc = MultiHeadDiscriminator(len(DEFAULT_TARGETS), rng.derive("d"))
 src_img, src_lab = images(DEFAULT_SOURCE, 2, 32)
 batch = (src_img, src_lab, np.concatenate([images(s, 2, 32)[0] for s in DEFAULT_TARGETS]))
-log = train_mtdt(model, disc, PerceptualNet(3), [batch], stats)
+log = []
+train_mtdt(model, disc, PerceptualNet(3), [batch], stats, log_sink=log.append)
 absorb(np.array([log[0][k] for k in sorted(log[0])], dtype=float),
        *(t.data for t in model.params.tensors() + disc.params.tensors()))
 

@@ -129,10 +129,9 @@ def test_stats_equal_raw_image_statistics_on_zero_noise_domain(tmp_path):
     from mtda.stats import WelfordAccumulator
     from mtda.toydata import DomainSpec
 
-    spec = DomainSpec(name="flat", color_mean=(0.1, 0.0, -0.1),
-                      color_std=(0.05, 0.05, 0.05), noise_amplitude=0.0,
-                      class_offsets=((-0.3,) * 3, (0.3, 0.0, 0.0),
-                                     (0.0, 0.3, 0.0), (0.0, 0.0, 0.3)))
+    spec = DomainSpec(name="flat", noise_std=0.0,
+                      class_offsets=((-0.2, -0.3, -0.4), (0.4, 0.0, -0.1),
+                                     (0.1, 0.3, -0.1), (0.1, 0.0, 0.2)))
     scenes = generate(spec, seed=3, count=20, h=16, w=16)
     acc = WelfordAccumulator(16, 16, 3)
     for image in scenes.images:
@@ -189,6 +188,44 @@ def trained_run(tmp_path_factory):
     cfg = mini_cfg(tmp_path_factory.mktemp("trained"))
     run_pipeline(cfg)
     return cfg
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and the infinities, as strict parsers do."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_logs_and_record_are_strict_json_with_the_documented_keys(trained_run):
+    out = Path(trained_run.out_dir)
+    mtdt = [strict_json(line)
+            for line in (out / "mtdt_log.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["iteration"] for r in mtdt] == list(range(trained_run.mtdt_iterations))
+    terms = {"rec", "per", "adv_g", "cls_g", "adv_d", "cls_d"}
+    assert all(set(r) == {"iteration", *terms, "g_total", "d_total"} for r in mtdt)
+    bars = [strict_json(line)
+            for line in (out / "bars_diagnostics.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [r["domain"] for r in bars] == ["dusk", "night"] * (trained_run.adapt_iterations // 2)
+    assert [r["iteration"] for r in bars] == list(range(trained_run.adapt_iterations))
+    assert all(set(r) == {"domain", "iteration", "loss", "kept_fraction_source",
+                          "kept_fraction_target", "cold_start_keeps", "skipped",
+                          "centroid_counts_transferred", "centroid_counts_target"}
+               for r in bars)
+    strict_json((out / "run_record.json").read_text(encoding="utf-8"))
+
+
+def test_non_finite_bars_loss_stops_adapt_before_its_line_is_written(tmp_path):
+    cfg = mini_cfg(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    data = build_datasets(cfg)
+    # load_transferred rejects such pixels from disk, so they go in directly
+    nan_images = np.full_like(data.source_train.images, np.nan)
+    transferred = [Scenes(nan_images, data.source_train.labels) for _ in cfg.targets]
+    with pytest.raises(RuntimeError, match="non-finite BARS loss at iteration 0 on target dusk"):
+        phase_adapt(cfg, data, transferred, out)
+    assert (out / "bars_diagnostics.jsonl").read_text(encoding="utf-8") == ""
 
 
 @pytest.mark.parametrize("damage, message", [

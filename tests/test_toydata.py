@@ -20,15 +20,10 @@ from mtda.toydata import (
 )
 
 
-def quiet_spec(name="flat", mean=(0.0, 0.0, 0.0), offsets=None):
+def quiet_spec(name="flat", offsets=None):
     offsets = offsets or (
         (-0.4, -0.4, -0.4), (0.4, 0.0, 0.0), (0.0, 0.4, 0.0), (0.0, 0.0, 0.4))
-    return DomainSpec(name=name, color_mean=mean, color_std=(0.05, 0.05, 0.05),
-                      noise_amplitude=0.0, class_offsets=offsets)
-
-
-def class_color(spec, c):
-    return np.asarray(spec.color_mean) + np.asarray(spec.class_offsets[c])
+    return DomainSpec(name=name, noise_std=0.0, class_offsets=offsets)
 
 
 class TestGenerate:
@@ -65,25 +60,20 @@ class TestGenerate:
         for s in scenes:
             for c in range(NUM_CLASSES):
                 area = (s.label == c).sum()
-                want += area * class_color(spec, c)
+                want += area * np.asarray(spec.class_offsets[c])
                 per_pixel += area
         want /= per_pixel
         np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_color_mean_shift_is_linear(self):
-        base = quiet_spec("a", mean=(0.0, 0.0, 0.0))
-        moved = quiet_spec("b", mean=(0.1, -0.2, 0.05))
-        sa = generate(base, seed=4, count=8, h=32, w=32)
-        sb = generate(moved, seed=4, count=8, h=32, w=32)
-        delta = (sb.images - sa.images).mean(axis=(0, 2, 3))
-        np.testing.assert_allclose(delta, [0.1, -0.2, 0.05], atol=1e-12)
-
     def test_values_clamped(self):
-        spec = DomainSpec(name="loud", color_mean=(0.9, 0.9, 0.9),
-                          color_std=(1.0, 1.0, 1.0), noise_amplitude=3.0,
-                          class_offsets=((0.5,) * 3,) * 4)
+        spec = DomainSpec(name="loud", noise_std=3.0, class_offsets=((1.4,) * 3,) * 4)
         images = generate(spec, seed=1, count=2, h=16, w=16).images
         assert images.max() <= 1.0 and images.min() >= -1.0
+
+    @pytest.mark.parametrize("noise_std", [-0.01, float("nan")])
+    def test_negative_or_undefined_noise_rejected(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std must be >= 0"):
+            DomainSpec(name="bad", noise_std=noise_std, class_offsets=((0.0,) * 3,) * 4)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="16x16"):

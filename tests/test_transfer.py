@@ -30,7 +30,6 @@ from mtda.tensorio import read_archive
 from mtda.toydata import generate, DEFAULT_SOURCE, DEFAULT_TARGETS
 from mtda.transfer import (
     DISC_LR_FACTOR,
-    LossTerms,
     MtdtModel,
     MultiHeadDiscriminator,
     PerceptualNet,
@@ -272,7 +271,16 @@ def looped_losses(model, disc, pnet, batch, stats_list):
         adv_d = adv_d + sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
         adv_d = adv_d + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape))
         cls_d = cls_d + softmax_cross_entropy(dom_real, domain)
-    return LossTerms(rec=rec, per=per, adv_g=adv_g, cls_g=cls_g, adv_d=adv_d, cls_d=cls_d)
+    terms = {"rec": rec, "per": per, "adv_g": adv_g, "cls_g": cls_g,
+             "adv_d": adv_d, "cls_d": cls_d}
+    return rec + per + adv_g + cls_g, adv_d + cls_d, terms
+
+
+def values(totals_and_terms):
+    """``mtdt_losses``' output as floats: the six terms, ``g_total`` and ``d_total``."""
+    g, d, terms = totals_and_terms
+    return {**{name: t.item() for name, t in terms.items()},
+            "g_total": g.item(), "d_total": d.item()}
 
 
 def loss_setup(n):
@@ -296,15 +304,15 @@ class TestStackedTargets:
         results = {}
         for name, fn in (("stacked", mtdt_losses), ("looped", looped_losses)):
             grads = {}
-            for side in ("generator_total", "discriminator_total"):
+            for side in (0, 1):  # generator total, then discriminator total
                 with Tape() as tape:
-                    terms = fn(model, disc, pnet, batch, stats)
-                    loss = getattr(terms, side)
-                grads[side] = dict(zip(names, tape.backward(loss, tensors)))
-            results[name] = (terms.breakdown(), grads)
+                    out = fn(model, disc, pnet, batch, stats)
+                grads[side] = dict(zip(names, tape.backward(out[side], tensors)))
+            results[name] = (values(out), grads)
 
         (got, got_grads), (want, want_grads) = results["stacked"], results["looped"]
-        for term in ("rec", "per", "adv_g", "cls_g", "adv_d", "cls_d"):
+        assert got.keys() == want.keys()
+        for term in want:
             assert got[term] == pytest.approx(want[term], rel=1e-12, abs=0.0), term
         # the absolute floor is for gradients that are zero in exact arithmetic,
         # a bias in front of an instance norm: they hold only rounding noise
@@ -339,9 +347,16 @@ class TestLossStack:
         rng = SplitMix64(31)
         self.stats = [rand_stats(rng, 32) for _ in range(2)]
 
+    def train(self, batches, stats=None):
+        """Run ``train_mtdt`` and return the records its log_sink received."""
+        sunk = []
+        assert train_mtdt(self.model, self.disc, self.pnet, batches,
+                          self.stats if stats is None else stats, log_sink=sunk.append) is None
+        return sunk
+
     def test_training_step_is_freed_by_reference_counting(self):
         def step():
-            train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats)
+            self.train([self.batch])
 
         step()  # warm-up: lazy imports and one-time caches
         gc.collect()
@@ -354,23 +369,21 @@ class TestLossStack:
 
     def test_training_rejects_stats_count_mismatch(self):
         with pytest.raises(ValueError, match="statistics for"):
-            train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats[:1])
+            self.train([self.batch], self.stats[:1])
 
     def test_training_logs_the_loss_terms(self):
-        want = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats).breakdown()
-        log = train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats)
-        assert log == [{"iteration": 0, **want}]
+        want = values(mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats))
+        assert self.train([self.batch]) == [{"iteration": 0, **want}]
+        # each total is the sum of its terms, in this order
+        assert want["g_total"] == ((want["rec"] + want["per"]) + want["adv_g"]) + want["cls_g"]
+        assert want["d_total"] == want["adv_d"] + want["cls_d"]
 
     def test_training_runs_one_iteration_per_batch(self):
-        sunk = []
-        log = train_mtdt(self.model, self.disc, self.pnet, [self.batch] * 3, self.stats,
-                         log_sink=sunk.append)
-        assert [r["iteration"] for r in log] == [0, 1, 2]
-        assert sunk == log
+        assert [r["iteration"] for r in self.train([self.batch] * 3)] == [0, 1, 2]
 
     def test_training_on_no_batches_keeps_every_parameter(self):
         before = [t.data.copy() for t in self.model.params.tensors() + self.disc.params.tensors()]
-        assert train_mtdt(self.model, self.disc, self.pnet, [], self.stats) == []
+        assert self.train([]) == []
         after = [t.data for t in self.model.params.tensors() + self.disc.params.tensors()]
         assert all((a == b).all() for a, b in zip(before, after))
 
@@ -378,17 +391,15 @@ class TestLossStack:
         # reference: each total's gradients from a tape of its own, at the
         # initial weights, applied by a fresh Adam to copies of the parameters
         want = {}
-        for side, params, lr in (("generator_total", self.model.params, 1e-3),
-                                 ("discriminator_total", self.disc.params,
-                                  1e-3 * DISC_LR_FACTOR)):
+        for side, params, lr in ((0, self.model.params, 1e-3),
+                                 (1, self.disc.params, 1e-3 * DISC_LR_FACTOR)):
             with Tape() as tape:
-                loss = getattr(mtdt_losses(self.model, self.disc, self.pnet,
-                                           self.batch, self.stats), side)
+                loss = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)[side]
             copies = [Tensor(t.data.copy()) for t in params.tensors()]
             Adam(lr=lr, weight_decay=1e-5).step(copies, tape.backward(loss, params.tensors()))
             want.update(zip(params.state_arrays(), (c.data for c in copies)))
 
-        train_mtdt(self.model, self.disc, self.pnet, [self.batch], self.stats)
+        self.train([self.batch])
         got = {}
         for params in (self.model.params, self.disc.params):
             got.update(zip(params.state_arrays(), params.tensors()))
@@ -398,8 +409,8 @@ class TestLossStack:
             assert not hasattr(t, "grad"), name
 
     def test_all_terms_finite_and_nonnegative(self):
-        terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
-        for name, value in terms.breakdown().items():
+        got = values(mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats))
+        for name, value in got.items():
             assert np.isfinite(value), name
             if name in ("rec", "per", "adv_g", "cls_g", "adv_d"):
                 assert value >= 0.0, name
@@ -407,7 +418,7 @@ class TestLossStack:
     def test_rec_matches_term_oracle(self):
         from mtda.autodiff import l1_loss
 
-        terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
+        _, _, terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
         source_images, source_labels, target_images = self.batch
         source = Tensor(source_images)
         (gamma, beta), content = self.model.extract_style_content(source, source_labels)
@@ -416,7 +427,7 @@ class TestLossStack:
         for k in range(2):
             t = Tensor(target_images[2 * k : 2 * k + 2])
             want += l1_loss(self.model.generate(self.model.encode(t)), t).item()
-        assert terms.rec.item() == pytest.approx(want, abs=1e-12)
+        assert terms["rec"].item() == pytest.approx(want, abs=1e-12)
 
     def test_stats_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="statistics for"):
@@ -427,14 +438,13 @@ class TestLossStack:
 
         probe = self.model.se_gamma.weights
         with Tape() as tape:
-            terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
-            loss = terms.generator_total
+            loss, _, _ = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
         ga = tape.backward(loss, [probe])[0].reshape(-1)
         flat = probe.data.reshape(-1)
 
         def f():
             return mtdt_losses(self.model, self.disc, self.pnet,
-                               self.batch, self.stats).generator_total.item()
+                               self.batch, self.stats)[0].item()
 
         for i in (0, 101, 1007):
             gn = _central_diff(f, flat, i, 1e-5)
@@ -445,14 +455,13 @@ class TestLossStack:
 
         probe = self.disc.adv_head.weights
         with Tape() as tape:
-            terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
-            loss = terms.discriminator_total
+            _, loss, _ = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
         ga = tape.backward(loss, [probe])[0].reshape(-1)
         flat = probe.data.reshape(-1)
 
         def f():
             return mtdt_losses(self.model, self.disc, self.pnet,
-                               self.batch, self.stats).discriminator_total.item()
+                               self.batch, self.stats)[1].item()
 
         for i in (0, 55, 191):
             gn = _central_diff(f, flat, i, 1e-5)
@@ -460,8 +469,7 @@ class TestLossStack:
 
     def test_discriminator_loss_never_reaches_generator_params(self):
         with Tape() as tape:
-            terms = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
-            loss = terms.discriminator_total
+            _, loss, _ = mtdt_losses(self.model, self.disc, self.pnet, self.batch, self.stats)
         gen_grads = tape.backward(loss, self.model.params.tensors())
         disc_grads = tape.backward(loss, self.disc.params.tensors())
         assert all(g is None for g in gen_grads)
