@@ -17,19 +17,21 @@ and every op is deterministic for identical inputs.  Importing the module
 fixes glibc malloc's thresholds, so that a loop of training steps reuses the
 memory of its freed arrays instead of faulting it in again.
 
-Tensors are NCHW at every op boundary.  Inside, ``conv2d`` is an im2col GEMM
-done channels-last (Chellapilla, Puri & Simard, *High Performance CNNs for
-Document Processing*, 2006): the input is copied once into a zero-padded
-NHWC buffer, and ``col`` holds one row per output pixel with columns ordered
-(kernel row, kernel column, channel), channel innermost, so every gather
-copies contiguous runs.  The weights are reordered to match, (Co, kh*kw*C).
-Rows are gathered and multiplied a few images at a time so a chunk is still
-in cache for its GEMM.  The bias is added while the GEMM's output is
-copied back to NCHW.  Backward takes ``dw`` and ``db`` from the same
-``col``, only when the weights or bias need a gradient.  ``dx`` is a
-transposed convolution (a second im2col GEMM with the flipped kernel) at
-stride 1; at larger strides, where that GEMM would mostly multiply zeros,
-``g @ w`` is scattered back with kh*kw slice-adds into an NHWC buffer.
+Tensors are NCHW at every op boundary.  Inside, ``conv2d`` lowers a
+zero-padded NHWC copy of its input along the width only, as MEC does (Cho &
+Brand, *MEC: Memory-efficient Convolution for Deep Neural Network*, ICML
+2017): one row per (input row, output column) holds that row's run of kw
+pixels, kw*C contiguous values.  Kernel row i is then one GEMM of the
+row-shifted block starting i*Wo rows in against a (kw*C, Co) matrix, and the
+kh products are summed: for a 3x3 kernel, a third of im2col's gather and
+kept matrix, for the same FLOPs.  At strides above 1 a row holds the whole
+window, as in im2col.  Rows are gathered and multiplied a few images at a
+time, so a chunk is still in cache for its GEMMs.  The bias is added in the
+copy back to NCHW.  Backward takes ``dw`` from the same lowered matrix and
+``db`` from ``g``, only when they are needed.  ``dx`` is a transposed
+convolution (the padded ``g`` lowered against the flipped kernel) at stride
+1; at larger strides, where that would mostly multiply zeros, ``g @ w`` is
+scattered back with kh*kw slice-adds into an NHWC buffer.
 
 ``upsample_conv2d`` is a 3x3 conv over a nearest 2x upsample, run as the
 sub-pixel convolution of Shi et al. (*Real-Time Single Image and Video
@@ -216,29 +218,40 @@ class LayerParams:
 # layer ops
 
 
-# Bytes of im2col rows gathered per GEMM: a chunk stays in a core's cache from
-# its gather to its GEMM instead of making a round trip through memory.
-_COL_CHUNK_BYTES = 1 << 20
+# Bytes of lowered rows gathered per chunk of images: a chunk stays in a core's
+# cache from its gather through its kh kernel-row GEMMs instead of making a round
+# trip through memory.  Half a MiB measured faster than 1 MiB on most calls.
+_COL_CHUNK_BYTES = 1 << 19
 
 
-def _im2col_gemm(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int, stride: int,
-                 ho: int, wo: int, keep_col: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(col @ wmat, col)`` for the (B*ho*wo, kh*kw*C) im2col matrix ``col``
-    of the NHWC array ``xp``; ``col`` is None unless ``keep_col`` is set."""
+def _lowered_gemm(xp: np.ndarray, wrows: np.ndarray, stride: int, ho: int, wo: int,
+                  keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(out, low)``: the correlation of the NHWC array ``xp`` with the kernel
+    rows ``wrows`` (kh, kw*C, Co), as a (B, ho, wo, Co) view, and the lowered
+    matrix, whose rows are runs of u kernel rows, if ``keep`` is set: u is 1
+    at stride 1 and kh at larger strides, where it makes the lowering im2col."""
     B, C = xp.shape[0], xp.shape[3]
-    rows, k = ho * wo, kh * kw * C
+    kh, k, co = wrows.shape
+    u = 1 if stride == 1 else kh  # kernel rows per lowered row
+    nq = ho + kh - u  # lowered rows per image and output column
     sb, sh, sw, sc = xp.strides
-    win = as_strided(xp, (B, ho, wo, kh, kw, C),
+    win = as_strided(xp, (B, nq, wo, u, k // C, C),
                      (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
-    per = max(1, min(B, _COL_CHUNK_BYTES // (8 * rows * k)))
-    out = np.empty((B * rows, wmat.shape[1]))
-    col = np.empty((B * rows if keep_col else per * rows, k))
+    wrows = wrows.reshape(kh // u, u * k, co)
+    per = max(1, min(B, _COL_CHUNK_BYTES // (8 * nq * wo * u * k)))
+    low = np.empty((B if keep else per, nq * wo, u * k))
+    out = np.empty((B * nq * wo, co))
     for b0 in range(0, B, per):
         n = min(per, B - b0)
-        c = col[b0 * rows : (b0 + n) * rows] if keep_col else col[: n * rows]
-        c.reshape(n, ho, wo, kh, kw, C)[...] = win[b0 : b0 + n]
-        np.matmul(c, wmat, out=out[b0 * rows : (b0 + n) * rows])
-    return out, col if keep_col else None
+        c = low[b0 : b0 + n] if keep else low[:n]
+        c.reshape(win[b0 : b0 + n].shape)[...] = win[b0 : b0 + n]
+        # kernel row i reads the lowered rows i*wo onwards, as one GEMM over the
+        # chunk; the rows that straddle two images land past ho and are dropped
+        c, span, dst = c.reshape(-1, u * k), ((n - 1) * nq + ho) * wo, out[b0 * nq * wo :]
+        np.matmul(c[:span], wrows[0], out=dst[:span])
+        for i in range(1, kh // u):
+            dst[:span] += c[i * wo : i * wo + span] @ wrows[i]
+    return out.reshape(B, nq, wo, co)[:, :ho], low if keep else None
 
 
 def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
@@ -265,33 +278,40 @@ def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
     w, b = p.weights, p.bias
     xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
     xp[:, pad : pad + H, pad : pad + W] = x.data.transpose(0, 2, 3, 1)
-    w2d = w.data.transpose(0, 2, 3, 1).reshape(Co, kh * kw * C)
     tape = _active_tape()
     need_dx, need_dw, need_db = (
         t.requires_grad or (tape is not None and t._tape == tape._id) for t in (x, w, b))
-    out2d, col = _im2col_gemm(xp, w2d.T, kh, kw, stride, Ho, Wo,
-                              keep_col=tape is not None and need_dw)
+    wrows = w.data.transpose(2, 3, 1, 0).reshape(kh, kw * C, Co)  # (i, (j, c), o)
+    out4d, low = _lowered_gemm(xp, wrows, stride, Ho, Wo, keep=tape is not None and need_dw)
     out = np.empty((B, Co, Ho, Wo))
-    np.add(out2d.reshape(B, Ho, Wo, Co).transpose(0, 3, 1, 2), b.data[:, None, None], out=out)
+    np.add(out4d.transpose(0, 3, 1, 2), b.data[:, None, None], out=out)
 
     def vjp(g: np.ndarray):
-        g2d = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Co)
-        db = g2d.sum(axis=0) if need_db else None
-        dw = (g2d.T @ col).reshape(Co, kh, kw, C).transpose(0, 3, 1, 2) if need_dw else None
+        g3 = g.transpose(0, 2, 3, 1).reshape(B, Ho * Wo, Co)
+        db = g3.sum(axis=(0, 1)) if need_db else None
+        dw = None
+        if need_dw:
+            if low.shape[1] == Ho * Wo:  # one group, and one GEMM, as in the forward
+                dw = g3.reshape(-1, Co).T @ low.reshape(-1, low.shape[2])
+            else:  # one block of columns per kernel row, summed over images
+                blocks = as_strided(low, (B, kh, Ho * Wo, low.shape[2]),
+                                    (low.strides[0], Wo * low.strides[1], *low.strides[1:]))
+                dw = (g3.transpose(0, 2, 1)[:, None] @ blocks).sum(axis=0).transpose(1, 0, 2)
+            dw = dw.reshape(Co, kh, kw, C).transpose(0, 3, 1, 2)
         if not need_dx:
             return None, dw, db
         if stride == 1:
-            # transposed convolution: im2col of g padded by k-1 on every side,
-            # one GEMM against the flipped kernel, read only over the interior
+            # transposed convolution: g padded by k-1 on every side, correlated
+            # with the flipped kernel, read only over the interior
             gp = np.zeros((B, Ho + 2 * (kh - 1), Wo + 2 * (kw - 1), Co))
-            gp[:, kh - 1 : kh - 1 + Ho, kw - 1 : kw - 1 + Wo] = g2d.reshape(B, Ho, Wo, Co)
-            w_flip = w2d.reshape(Co, kh, kw, C)[:, ::-1, ::-1].transpose(1, 2, 0, 3).reshape(-1, C)
-            dx, _ = _im2col_gemm(gp[:, pad:, pad:], w_flip, kh, kw, 1, H, W, keep_col=False)
-            dx = dx.reshape(B, H, W, C)
+            gp[:, kh - 1 : kh - 1 + Ho, kw - 1 : kw - 1 + Wo] = g3.reshape(B, Ho, Wo, Co)
+            w_flip = wrows.reshape(kh, kw, C, Co)[::-1, ::-1].transpose(0, 1, 3, 2)
+            w_flip = w_flip.reshape(kh, kw * Co, C)
+            dx, _ = _lowered_gemm(gp[:, pad:, pad:], w_flip, 1, H, W, keep=False)
         else:
             # a strided transposed convolution would multiply mostly zeros;
             # scatter the kh*kw columns of dcol instead, C contiguous in both
-            dcol = (g2d @ w2d).reshape(B, Ho, Wo, kh, kw, C)
+            dcol = (g3.reshape(-1, Co) @ wrows.reshape(-1, Co).T).reshape(B, Ho, Wo, kh, kw, C)
             dxp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
             for i in range(kh):
                 for j in range(kw):

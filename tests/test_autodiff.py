@@ -77,21 +77,44 @@ class TestConv2d:
             ((2, 5, 6), 4, 1, 3, 2, 1),   # single output channel
             ((2, 5, 7), 3, 4, 1, 1, 0),   # 1x1 kernel
             ((1, 4, 5), 2, 3, 1, 1, 1),   # padding wider than the kernel
+            ((2, 10, 9), 3, 4, 3, 3, 1),  # stride 3
+            ((1, 8, 11), 2, 3, 3, 3, 0),  # stride 3, no padding
+            # non-square kernels: the lowering indexes kernel rows and columns apart
+            ((2, 7, 6), 3, 4, (3, 1), 1, 1),
+            ((2, 6, 7), 3, 4, (1, 3), 1, 1),
+            ((2, 9, 8), 3, 2, (3, 1), 2, 1),
+            ((2, 8, 9), 3, 2, (1, 3), 3, 0),
         ]
         for (b, h, w), ci, co, k, stride, pad in cases:
-            x = SplitMix64(42).normal(b * ci * h * w).reshape(b, ci, h, w)
-            p = conv_params(SplitMix64(7), ci, co, k=k)
-            got = conv2d(Tensor(x), p, stride, pad).data
+            kh, kw = (k, k) if isinstance(k, int) else k
+            rng = SplitMix64(42)
+            x = rng.normal(b * ci * h * w).reshape(b, ci, h, w)
+            p = LayerParams(Tensor(rng.normal(co * ci * kh * kw).reshape(co, ci, kh, kw),
+                                   requires_grad=True), Tensor(rng.normal(co)))
+            xt = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                y = conv2d(xt, p, stride, pad)
+                r = rng.normal(y.data.size).reshape(y.shape)
+                loss = tensor_sum(y * Tensor(r))
+            dx, dw = tape.backward(loss, [xt, p.weights])
             want = conv_oracle(x, p.weights.data, p.bias.data, stride, pad)
-            assert got.shape == want.shape
-            assert got.flags.c_contiguous
-            assert np.abs(got - want).max() < 1e-12
+            assert y.shape == want.shape
+            assert y.data.flags.c_contiguous
+            assert np.abs(y.data - want).max() < 1e-12
+            # conv is linear in x and in w, so <y - b, r> = <x, dx> = <w, dw>
+            lin = ((want - p.bias.data[None, :, None, None]) * r).sum()
+            assert (x * dx).sum() == pytest.approx(lin, rel=1e-12, abs=1e-12)
+            assert (p.weights.data * dw).sum() == pytest.approx(lin, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_multi_chunk_batch_matches_reference_and_adjoint(self, stride):
-        # one 40x40 image's im2col rows exceed a GEMM chunk, so the batch of
-        # three runs as several chunks in forward and in the dx GEMM
-        assert 40 * 40 * 9 * 16 * 8 > _COL_CHUNK_BYTES
+        # three images' lowered rows overflow a GEMM chunk, so forward and the
+        # stride-1 dx run as several chunks, and dw reads a kept matrix written
+        # chunk by chunk.  A 40x40 image lowers to (40 + 2) * 40 rows of 3-pixel
+        # runs at stride 1, and to one 3x3 window per output pixel otherwise
+        rows, taps = (42 * 40, 3) if stride == 1 else ((39 // stride + 1) ** 2, 9)
+        assert 3 * 8 * rows * taps * 16 > _COL_CHUNK_BYTES
+        assert 3 * 8 * 42 * 40 * 3 * 8 > _COL_CHUNK_BYTES  # dx: 8 channels, stride 1
         rng = SplitMix64(21)
         x = rng.normal(3 * 16 * 40 * 40).reshape(3, 16, 40, 40)
         p = conv_params(SplitMix64(22), 16, 8, k=3)
@@ -102,7 +125,7 @@ class TestConv2d:
             r = SplitMix64(23).normal(y.data.size).reshape(y.shape)
             loss = tensor_sum(y * Tensor(r))
         dx, dw, db = tape.backward(loss, [xt, p.weights, p.bias])
-        # untaped, the chunks share one col buffer instead of a kept col
+        # untaped, the chunks share one lowered buffer instead of a kept matrix
         np.testing.assert_array_equal(conv2d(Tensor(x), p, stride=stride, pad=1).data, y.data)
 
         win = np.lib.stride_tricks.sliding_window_view(
