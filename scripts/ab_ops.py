@@ -18,13 +18,16 @@ Timed calls, after one untimed warm-up repetition:
 
 For each call it prints the median milliseconds per side, head over base,
 the repetitions head was faster in, whether the two sides' outputs were
-bit-equal on every repetition, and the largest relative difference between
-them, ``max|head - base| / max|base|`` over all repetitions: the outputs are
-the logits for ``predict``, and the trained parameters for the two training
-calls.  A change that only reorders floating-point sums shows a difference
-near 1e-15.  Run A/A (``--base`` naming this checkout), every call must be
-bit-equal: the script exits 1 if one is not, since then some call is not
-deterministic.
+bit-equal on every repetition, and two relative differences between them,
+``max|head - base| / max|base|``: after the first (warm-up) call, and the
+largest over all calls.  The outputs are the logits for ``predict``, and the
+trained parameters for the two training calls.  A change that only reorders
+floating-point sums shows a difference near 1e-15 after one call.  For the
+training calls the later ones compound it: Adam divides each step by a
+running root mean square of the gradient, so where a gradient is near zero,
+rounding moves a step by a sizeable share of the learning rate.  Run A/A
+(``--base`` naming this checkout), every call must be bit-equal: the script
+exits 1 if one is not, since then some call is not deterministic.
 
 Example, from the root of a checkout:
     python3 scripts/ab_ops.py --base ../parent --reps 30
@@ -141,7 +144,7 @@ def main(argv=None) -> int:
     names = list(sides["head"])
     times = {s: {k: [] for k in names} for s in sides}
     equal = dict.fromkeys(names, True)
-    rel = dict.fromkeys(names, 0.0)
+    first, rel = {}, dict.fromkeys(names, 0.0)
 
     for rep in range(args.reps + 1):
         order = ("base", "head") if rep % 2 == 0 else ("head", "base")
@@ -158,15 +161,17 @@ def main(argv=None) -> int:
             b, h = digests["base"], digests["head"]
             equal[k] &= np.array_equal(b, h)
             rel[k] = max(rel[k], np.abs(h - b).max() / np.abs(b).max())
+            first.setdefault(k, rel[k])
 
     print(f"{'call':<24}{'base ms':>10}{'head ms':>10}{'head/base':>11}"
-          f"{'head wins':>11}{'bit-equal':>11}{'max rel diff':>14}")
+          f"{'head wins':>11}{'bit-equal':>11}{'1st rel diff':>14}{'max rel diff':>14}")
     for k in names:
         tb, th = times["base"][k], times["head"][k]
         mb, mh = statistics.median(tb), statistics.median(th)
         wins = sum(h < b for b, h in zip(tb, th))
         print(f"{k:<24}{mb * 1e3:>10.2f}{mh * 1e3:>10.2f}{mh / mb:>11.3f}"
-              f"{f'{wins}/{len(th)}':>11}{'yes' if equal[k] else 'no':>11}{rel[k]:>14.1e}")
+              f"{f'{wins}/{len(th)}':>11}{'yes' if equal[k] else 'no':>11}"
+              f"{first[k]:>14.1e}{rel[k]:>14.1e}")
     if base_src == HEAD_SRC and not all(equal.values()):
         print("A/A run, yet some outputs differ: a call is not deterministic",
               file=sys.stderr)

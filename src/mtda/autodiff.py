@@ -17,21 +17,24 @@ and every op is deterministic for identical inputs.  Importing the module
 fixes glibc malloc's thresholds, so that a loop of training steps reuses the
 memory of its freed arrays instead of faulting it in again.
 
-Tensors are NCHW at every op boundary.  Inside, ``conv2d`` lowers a
-zero-padded NHWC copy of its input along the width only, as MEC does (Cho &
-Brand, *MEC: Memory-efficient Convolution for Deep Neural Network*, ICML
-2017): one row per (input row, output column) holds that row's run of kw
-pixels, kw*C contiguous values.  Kernel row i is then one GEMM of the
-row-shifted block starting i*Wo rows in against a (kw*C, Co) matrix, and the
-kh products are summed: for a 3x3 kernel, a third of im2col's gather and
-kept matrix, for the same FLOPs.  At strides above 1 a row holds the whole
-window, as in im2col.  Rows are gathered and multiplied a few images at a
-time, so a chunk is still in cache for its GEMMs.  The bias is added in the
-copy back to NCHW.  Backward takes ``dw`` from the same lowered matrix and
-``db`` from ``g``, only when they are needed.  ``dx`` is a transposed
-convolution (the padded ``g`` lowered against the flipped kernel) at stride
-1; at larger strides, where that would mostly multiply zeros, ``g @ w`` is
-scattered back with kh*kw slice-adds into an NHWC buffer.
+Tensors are NCHW at every op boundary, and ``conv2d`` never leaves that
+layout.  It lowers its input along the width only, as MEC does (Cho & Brand,
+*MEC: Memory-efficient Convolution for Deep Neural Network*, ICML 2017), and
+K-major: row (c, j) and column (q, x) of an image's lowered matrix hold
+padded pixel (q, x + j) of channel c, so every row is a run of an input row,
+gathered with a few slice copies, and the zero padding is written once per
+call.  Kernel row i is then one GEMM, (Co, kw*C) @ (kw*C, Ho*Wo), over the
+columns from i*Wo on, which lands in the image's NCHW output; the kh
+products are summed and the bias is added in place.  For a 3x3 kernel that
+gathers a third of im2col's matrix, for the same FLOPs.  At strides above 1
+a row spans the whole window, as in im2col.  Columns are gathered and
+multiplied a few images at a time, so a chunk is still in cache for its
+GEMMs.  Backward lowers ``x`` again for ``dw``, so the tape keeps no lowered
+matrix, and takes ``db`` from ``g``, each only when needed.  ``dx`` is a
+transposed convolution at stride 1: ``g``, padded, lowered the same way
+against the flipped kernel.  At larger strides, where that would mostly
+multiply zeros, ``w.T @ g`` is added back onto the pixels each lowered value
+came from.  Neither ``x``, ``g`` nor ``dx`` is ever transposed.
 
 ``upsample_conv2d`` is a 3x3 conv over a nearest 2x upsample, run as the
 sub-pixel convolution of Shi et al. (*Real-Time Single Image and Video
@@ -48,6 +51,7 @@ vjp is its transpose, so ``conv2d``'s own vjp does the heavy backward work.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import sys
 
@@ -218,40 +222,93 @@ class LayerParams:
 # layer ops
 
 
-# Bytes of lowered rows gathered per chunk of images: a chunk stays in a core's
-# cache from its gather through its kh kernel-row GEMMs instead of making a round
-# trip through memory.  Half a MiB measured faster than 1 MiB on most calls.
+# Bytes of K-major lowered matrix gathered per chunk of images: a chunk stays in
+# a core's cache from its gather through its kernel-row GEMMs instead of making a
+# round trip through memory.  Half a MiB measured faster than 1 MiB on most calls.
 _COL_CHUNK_BYTES = 1 << 19
 
 
-def _lowered_gemm(xp: np.ndarray, wrows: np.ndarray, stride: int, ho: int, wo: int,
-                  keep: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(out, low)``: the correlation of the NHWC array ``xp`` with the kernel
-    rows ``wrows`` (kh, kw*C, Co), as a (B, ho, wo, Co) view, and the lowered
-    matrix, whose rows are runs of u kernel rows, if ``keep`` is set: u is 1
-    at stride 1 and kh at larger strides, where it makes the lowering im2col."""
-    B, C = xp.shape[0], xp.shape[3]
-    kh, k, co = wrows.shape
-    u = 1 if stride == 1 else kh  # kernel rows per lowered row
-    nq = ho + kh - u  # lowered rows per image and output column
-    sb, sh, sw, sc = xp.strides
-    win = as_strided(xp, (B, nq, wo, u, k // C, C),
-                     (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
-    wrows = wrows.reshape(kh // u, u * k, co)
-    per = max(1, min(B, _COL_CHUNK_BYTES // (8 * nq * wo * u * k)))
-    low = np.empty((B if keep else per, nq * wo, u * k))
-    out = np.empty((B * nq * wo, co))
+@functools.lru_cache(maxsize=256)
+def _taps(H: int, W: int, kh: int, kw: int, stride: int, pad_h: int, pad_w: int,
+          ho: int, wo: int):
+    """``(u, nq, copies)``: how to lower NCHW images of H x W pixels, zero-padded
+    by pad_h rows and pad_w columns (a negative pad crops), for a kh x kw
+    kernel with ho x wo outputs.
+
+    The lowering is K-major: row (c, r, j) and column (q, x) of an image's
+    matrix hold padded pixel (q*s + r, x*s + j) of channel c.  A row spans u
+    kernel rows, 1 at stride 1 and kh above (where the lowering is im2col),
+    and an image has nq column groups of wo.  Each copy
+    ``(r, j, cols_q, cols_x, rows_src, cols_src)`` moves the in-range pixels
+    of rows (., r, j); the rest stay zero."""
+    u = 1 if stride == 1 else kh
+    nq = ho + kh - u
+
+    def span(r: int, pad: int, size: int, n: int) -> tuple[slice, slice] | None:
+        lo, hi = max(0, -((r - pad) // stride)), min(n, -((r - pad - size) // stride))
+        start = lo * stride + r - pad
+        return (slice(lo, hi), slice(start, start + (hi - lo - 1) * stride + 1, stride)
+                ) if lo < hi else None
+
+    copies = []
+    for r, j in itertools.product(range(u), range(kw)):
+        q, x = span(r, pad_h, H, nq), span(j, pad_w, W, wo)
+        if q and x:
+            copies.append((r, j, q[0], x[0], q[1], x[1]))
+    return u, nq, tuple(copies)
+
+
+def _lowered(x: np.ndarray, kh: int, kw: int, stride: int, pad_h: int, pad_w: int,
+             ho: int, wo: int):
+    """Yield ``(b0, low)`` for each chunk of images from b0 on: their lowered
+    matrices as :func:`_taps` lays them out, (n, C*u*kw, nq*wo).  One buffer
+    serves every chunk, so a chunk is valid only until the next is yielded."""
+    B, C, H, W = x.shape
+    u, nq, copies = _taps(H, W, kh, kw, stride, pad_h, pad_w, ho, wo)
+    per = max(1, min(B, _COL_CHUNK_BYTES // (8 * C * u * kw * nq * wo)))
+    low = np.zeros((per, C, u, kw, nq, wo))  # the padding stays zero in every chunk
     for b0 in range(0, B, per):
         n = min(per, B - b0)
-        c = low[b0 : b0 + n] if keep else low[:n]
-        c.reshape(win[b0 : b0 + n].shape)[...] = win[b0 : b0 + n]
-        # kernel row i reads the lowered rows i*wo onwards, as one GEMM over the
-        # chunk; the rows that straddle two images land past ho and are dropped
-        c, span, dst = c.reshape(-1, u * k), ((n - 1) * nq + ho) * wo, out[b0 * nq * wo :]
-        np.matmul(c[:span], wrows[0], out=dst[:span])
+        for r, j, q, xs, rows_src, cols_src in copies:
+            low[:n, :, r, j, q, xs] = x[b0 : b0 + n, :, rows_src, cols_src]
+        yield b0, low[:n].reshape(n, C * u * kw, nq * wo)
+
+
+def _lowered_gemm(x: np.ndarray, w: np.ndarray, stride: int, pad_h: int, pad_w: int,
+                  out: np.ndarray) -> None:
+    """Write into the NCHW array ``out`` the correlation of the NCHW array
+    ``x``, padded as in :func:`_taps`, with the (Co, C, kh, kw) kernel ``w``.
+    Per chunk of images, kernel row block i is one GEMM per image,
+    (Co, C*u*kw) @ (C*u*kw, ho*wo), over the lowered columns from i*wo on."""
+    co, C, kh, kw = w.shape
+    ho, wo = out.shape[2:]
+    u = 1 if stride == 1 else kh
+    wrows = w.reshape(co, C, kh // u, u * kw).transpose(2, 0, 1, 3).reshape(kh // u, co, -1)
+    for b0, low in _lowered(x, kh, kw, stride, pad_h, pad_w, ho, wo):
+        dst = out[b0 : b0 + len(low)].reshape(len(low), co, ho * wo)
+        np.matmul(wrows[0], low[:, :, : ho * wo], out=dst)
         for i in range(1, kh // u):
-            dst[:span] += c[i * wo : i * wo + span] @ wrows[i]
-    return out.reshape(B, nq, wo, co)[:, :ho], low if keep else None
+            dst += wrows[i] @ low[:, :, i * wo : i * wo + ho * wo]
+
+
+def _lowered_dw(x: np.ndarray, g: np.ndarray, kh: int, kw: int, stride: int,
+                pad: int) -> np.ndarray:
+    """The (Co, C, kh, kw) kernel gradient of the conv of the NCHW array ``x``
+    whose output gradient is the NCHW array ``g``.  x is lowered again, chunk
+    by chunk, so the tape keeps no lowered matrix; kernel row block i is
+    (C*u*kw, ho*wo) @ (ho*wo, Co) per image, over the lowered columns from
+    i*wo on, summed over images."""
+    B, co, ho, wo = g.shape
+    C = x.shape[1]
+    u = 1 if stride == 1 else kh
+    gt = g.reshape(B, co, ho * wo).transpose(0, 2, 1)[:, None]
+    dw = 0.0
+    for b0, low in _lowered(x, kh, kw, stride, pad, pad, ho, wo):
+        n, k = low.shape[:2]
+        blocks = as_strided(low, (n, kh // u, k, ho * wo),
+                            (low.strides[0], wo * low.strides[2], *low.strides[1:]))
+        dw = dw + (blocks @ gt[b0 : b0 + n]).sum(axis=0)
+    return dw.reshape(kh // u, C, u, kw, co).transpose(4, 1, 0, 2, 3).reshape(co, C, kh, kw)
 
 
 def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
@@ -276,49 +333,36 @@ def conv2d(x: Tensor, p: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
         )
 
     w, b = p.weights, p.bias
-    xp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
-    xp[:, pad : pad + H, pad : pad + W] = x.data.transpose(0, 2, 3, 1)
+    # the arrays, not the tensors: a step between two backwards rebinds w.data
+    xd, wd = x.data, w.data
     tape = _active_tape()
     need_dx, need_dw, need_db = (
         t.requires_grad or (tape is not None and t._tape == tape._id) for t in (x, w, b))
-    wrows = w.data.transpose(2, 3, 1, 0).reshape(kh, kw * C, Co)  # (i, (j, c), o)
-    out4d, low = _lowered_gemm(xp, wrows, stride, Ho, Wo, keep=tape is not None and need_dw)
     out = np.empty((B, Co, Ho, Wo))
-    np.add(out4d.transpose(0, 3, 1, 2), b.data[:, None, None], out=out)
+    _lowered_gemm(xd, wd, stride, pad, pad, out)
+    out += b.data[:, None, None]
 
     def vjp(g: np.ndarray):
-        g3 = g.transpose(0, 2, 3, 1).reshape(B, Ho * Wo, Co)
-        db = g3.sum(axis=(0, 1)) if need_db else None
-        dw = None
-        if need_dw:
-            if low.shape[1] == Ho * Wo:  # one group, and one GEMM, as in the forward
-                dw = g3.reshape(-1, Co).T @ low.reshape(-1, low.shape[2])
-            else:  # one block of columns per kernel row, summed over images
-                blocks = as_strided(low, (B, kh, Ho * Wo, low.shape[2]),
-                                    (low.strides[0], Wo * low.strides[1], *low.strides[1:]))
-                dw = (g3.transpose(0, 2, 1)[:, None] @ blocks).sum(axis=0).transpose(1, 0, 2)
-            dw = dw.reshape(Co, kh, kw, C).transpose(0, 3, 1, 2)
+        db = g.sum(axis=(0, 2, 3)) if need_db else None
+        dw = _lowered_dw(xd, g, kh, kw, stride, pad) if need_dw else None
         if not need_dx:
             return None, dw, db
         if stride == 1:
-            # transposed convolution: g padded by k-1 on every side, correlated
-            # with the flipped kernel, read only over the interior
-            gp = np.zeros((B, Ho + 2 * (kh - 1), Wo + 2 * (kw - 1), Co))
-            gp[:, kh - 1 : kh - 1 + Ho, kw - 1 : kw - 1 + Wo] = g3.reshape(B, Ho, Wo, Co)
-            w_flip = wrows.reshape(kh, kw, C, Co)[::-1, ::-1].transpose(0, 1, 3, 2)
-            w_flip = w_flip.reshape(kh, kw * Co, C)
-            dx, _ = _lowered_gemm(gp[:, pad:, pad:], w_flip, 1, H, W, keep=False)
+            # transposed convolution: g padded by k-1-pad, correlated with the
+            # flipped kernel
+            dx = np.empty((B, C, H, W))
+            w_flip = wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            _lowered_gemm(g, w_flip, 1, kh - 1 - pad, kw - 1 - pad, dx)
         else:
-            # a strided transposed convolution would multiply mostly zeros;
-            # scatter the kh*kw columns of dcol instead, C contiguous in both
-            dcol = (g3.reshape(-1, Co) @ wrows.reshape(-1, Co).T).reshape(B, Ho, Wo, kh, kw, C)
-            dxp = np.zeros((B, H + 2 * pad, W + 2 * pad, C))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + stride * (Ho - 1) + 1 : stride,
-                        j : j + stride * (Wo - 1) + 1 : stride] += dcol[:, :, :, i, j]
-            dx = dxp[:, pad : pad + H, pad : pad + W]
-        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2)), dw, db
+            # a strided transposed convolution would multiply mostly zeros; add
+            # each lowered gradient back onto the pixel it was gathered from
+            _, _, copies = _taps(H, W, kh, kw, stride, pad, pad, Ho, Wo)
+            dlow = (wd.reshape(Co, -1).T @ g.reshape(B, Co, Ho * Wo)).reshape(
+                B, C, kh, kw, Ho, Wo)
+            dx = np.zeros((B, C, H, W))
+            for r, j, q, xs, rows_src, cols_src in copies:
+                dx[:, :, rows_src, cols_src] += dlow[:, :, r, j, q, xs]
+        return dx, dw, db
 
     return _emit(out, (x, w, b), vjp)
 
@@ -348,21 +392,30 @@ NORM_EPS = 1e-5  # added to each channel's variance by instance_norm
 
 def instance_norm(x: Tensor) -> Tensor:
     """Per (batch, channel): zero spatial mean, and spatial variance
-    ``v / (v + NORM_EPS)`` for an input channel of variance ``v``."""
+    ``v / (v + NORM_EPS)`` for an input channel of variance ``v``.
+
+    The variance is taken of the centred values (two passes), and each
+    spatial sum, of x, (x - m)^2, g and g*y, is one ``einsum`` row reduction:
+    no squared or product temporary, and numpy's own loop, whose rounding does
+    not depend on the BLAS thread count as a threaded BLAS dot's does."""
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm input must be (B,C,H,W), got {x.shape}")
-    m = x.data.mean(axis=(2, 3), keepdims=True)
-    xc = x.data - m
-    v = (xc * xc).mean(axis=(2, 3), keepdims=True)
-    istd = 1.0 / np.sqrt(v + NORM_EPS)
-    y = xc * istd
+    B, C, H, W = x.shape
+    n = H * W
+    x2 = x.data.reshape(B * C, n)
+    y = x2 - (np.einsum("ij->i", x2) / n)[:, None]
+    istd = (1.0 / np.sqrt(np.einsum("ij,ij->i", y, y) / n + NORM_EPS))[:, None]
+    y *= istd
 
     def vjp(g: np.ndarray):
-        gm = g.mean(axis=(2, 3), keepdims=True)
-        gy = (g * y).mean(axis=(2, 3), keepdims=True)
-        return istd * (g - gm - y * gy),
+        g2 = g.reshape(B * C, n)
+        dx = y * -(np.einsum("ij,ij->i", g2, y) / n)[:, None]
+        dx += g2
+        dx -= (np.einsum("ij->i", g2) / n)[:, None]
+        dx *= istd
+        return dx.reshape(x.shape),
 
-    return _emit(y, (x,), vjp)
+    return _emit(y.reshape(x.shape), (x,), vjp)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -264,6 +264,17 @@ class TestInstanceNorm:
                 v = x[b, c].var()
                 assert abs(y[b, c].var() - v / (v + NORM_EPS)) < 1e-10
 
+    def test_moments_hold_under_a_large_channel_offset(self):
+        # a one-pass E[x^2] - m^2 variance would lose about 1e-10 of it here
+        rng = SplitMix64(11)
+        x = rng.normal(2 * 3 * 64 * 64).reshape(2, 3, 64, 64) + 1e3 * np.arange(1, 4)[:, None, None]
+        y = instance_norm(Tensor(x)).data
+        for b in range(2):
+            for c in range(3):
+                assert abs(y[b, c].mean()) < 1e-10
+                v = x[b, c].var()
+                assert abs(y[b, c].var() - v / (v + NORM_EPS)) < 1e-10
+
 
 class TestLosses:
     def test_l1_identical_inputs(self):

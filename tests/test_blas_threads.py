@@ -1,9 +1,10 @@
-"""Bitwise determinism of the convolution core across BLAS thread counts.
+"""Bitwise determinism of convolution and instance norm across BLAS thread counts.
 
 Each child process runs the networks at the benchmark's workload shapes
-(MTDT training step at 32 px, task-net training step at 32 px, restyling at
-64 px) under a fixed ``OPENBLAS_NUM_THREADS`` and prints one sha256 over every
-forward output and gradient.  The thread count is set for the child only.
+(MTDT training step at 32 px, task-net training step at 32 px, restyling and
+``TaskNet.predict`` at 64 px) under a fixed ``OPENBLAS_NUM_THREADS`` and
+prints one sha256 over every forward output and gradient.  The thread count
+is set for the child only.
 """
 
 import os
@@ -59,7 +60,11 @@ absorb(logits.data, feats.data, *tape.backward(loss, [x] + net.params.tensors())
 # infer-restyle: forward only, batch 16 at 64 px
 img, lab = images(DEFAULT_SOURCE, 16, 64)
 absorb(model.transfer_image(*model.extract_style_content(Tensor(img), lab), stats[:1]).data)
-absorb(net.forward(Tensor(img))[0].data)
+
+# TaskNet.predict on 16 images at 64 px: its (16, 16, 64, 64) instance norms
+# are the largest spatial reductions of any workload
+logits, feats = net.forward(Tensor(img))
+absorb(logits.data, feats.data, net.predict(img))
 print(digest.hexdigest())
 """
 
