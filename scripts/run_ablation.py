@@ -2,9 +2,11 @@
 """Region-selection ablation grid on the toy benchmark.
 
 Runs the shared ``mtdt`` phase (transfer training and restyling) once per
-seed and reads its restyled sets back, then runs the four adaptation
-variants (both label filters, each alone, neither) plus the source-only
-baseline, and prints a per-variant mIoU table of medians over seeds.
+seed and reads its restyled sets back.  Every cell of the grid is then one
+``phase_adapt`` run, scored by ``phase_eval``: the four adaptation variants
+(both label filters, each alone, neither) on the restyled sets, and
+source-only, which is ``phase_adapt`` with neither filter on the unrestyled
+source training set.  Prints a per-cell mIoU table of medians over seeds.
 
 Example:
     python scripts/run_ablation.py --seeds 7 8 9 --out runs/ablation
@@ -24,7 +26,6 @@ from mtda.pipeline import (
     phase_adapt,
     phase_eval,
     run_phase,
-    run_source_only_baseline,
 )
 
 VARIANTS = [
@@ -36,19 +37,22 @@ VARIANTS = [
 
 
 def run_seed(cfg: ExperimentConfig, out: Path) -> dict[str, dict[str, float]]:
+    cfg.validate()
     out.mkdir(parents=True, exist_ok=True)
     data = build_datasets(cfg)
     run_phase(cfg, "mtdt", data, out)
     transferred = load_transferred(cfg, out)
+    cells = [(name, transferred, flags) for name, flags in VARIANTS]
+    cells.append(("source-only", [data.source_train] * len(cfg.targets),
+                  dict(bars_source=False, bars_target=False)))
 
     results: dict[str, dict[str, float]] = {}
-    for name, flags in VARIANTS:
-        variant_cfg = replace(cfg, **flags, out_dir=str(out / name))
+    for name, restyled, flags in cells:
+        cell_cfg = replace(cfg, **flags, out_dir=str(out / name))
         (out / name).mkdir(exist_ok=True)
-        net, _ = phase_adapt(variant_cfg, data, transferred, out / name)
-        ev = phase_eval(variant_cfg, net, data, out / name)
+        net, _ = phase_adapt(cell_cfg, data, restyled, out / name)
+        ev = phase_eval(cell_cfg, net, data, out / name)
         results[name] = {k: v["miou"] for k, v in ev.items()}
-    _, results["source-only"] = run_source_only_baseline(cfg, data)
     return results
 
 
@@ -70,7 +74,7 @@ def main() -> int:
     print("\nmedian mIoU over seeds:")
     header = f"{'variant':<14}" + "".join(f"{d:>10}" for d in domains) + f"{'avg':>10}"
     print(header)
-    for name, _ in VARIANTS + [("source-only", None)]:
+    for name in per_seed[0]:
         row = [float(np.median([r[name][d] for r in per_seed])) for d in domains]
         print(f"{name:<14}" + "".join(f"{v:>10.2f}" for v in row)
               + f"{np.mean(row):>10.2f}")

@@ -1,4 +1,4 @@
-"""Phase orchestration, two phases and the source-only baseline:
+"""Phase orchestration, two phases:
 
 - ``mtdt``: extract the target statistics with the untrained encoder, train
   the transfer network, and restyle the source training set toward every
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import IGNORE_VALUE, Tape, Tensor, softmax_cross_entropy
+from .autodiff import IGNORE_VALUE, Tensor
 from .bars import BarsState, bars_step
 from .config import ExperimentConfig, check_out_dir, config_hash, domain_name, save_config
 from .metrics import ConfusionMatrix, miou, write_iou_report
@@ -250,7 +250,7 @@ def load_transferred(cfg: ExperimentConfig, out_dir: Path) -> list[Scenes]:
 
 
 def _task_optimizer() -> SgdMomentum:
-    """The task network's optimizer, in adaptation and in the source-only baseline."""
+    """The task network's optimizer."""
     return SgdMomentum(lr=2.5e-4, momentum=0.9, weight_decay=5e-4)
 
 
@@ -398,24 +398,3 @@ def run_pipeline(cfg: ExperimentConfig) -> RunRecord:
     (out_dir / "run_record.json").write_text(record.to_json(), encoding="utf-8")
     return record
 
-
-def run_source_only_baseline(cfg: ExperimentConfig,
-                             data: Datasets) -> tuple[TaskNet, dict[str, float]]:
-    """Task network trained on raw source images only; the adaptation floor."""
-    cfg.validate()
-    rng = SplitMix64(cfg.seed).derive("baseline-sampling")
-    net = TaskNet(cfg.num_classes, SplitMix64(cfg.seed).derive("task-net"))
-    opt = _task_optimizer()
-    for _ in range(cfg.adapt_iterations):
-        src = data.source_train
-        idx = [rng.randint(len(src)) for _ in range(cfg.task_batch)]
-        with Tape() as tape:
-            logits, _ = net.forward(Tensor(src.images[idx]))
-            loss = softmax_cross_entropy(logits, src.labels[idx])
-        params = net.params.tensors()
-        opt.step(params, tape.backward(loss, params))
-    results = {}
-    for name, scenes in zip(data.target_names, data.targets_eval):
-        _, _, mean = evaluate_net(net, scenes)
-        results[name] = round(100.0 * mean, 4)
-    return net, results

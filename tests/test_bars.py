@@ -15,6 +15,7 @@ from mtda.bars import (
     nearest_class,
 )
 from mtda.optim import SgdMomentum
+from mtda.pipeline import _task_optimizer
 from mtda.rng import SplitMix64
 from mtda.stats import RunningMeanBank
 from mtda.taskseg import TaskNet
@@ -309,6 +310,25 @@ class TestBarsStep:
                 np.testing.assert_array_equal(seen[1], want[1])
             # the second step's filter rejects pixels in both directions
             assert (filt_src != lab).any() and (filt_tgt != raw_tgt).any()
+
+    def test_source_term_alone_is_plain_supervised_training(self):
+        # with no filter and no target term, a step is one supervised step on
+        # the source batch: the target forward and the bank updates feed nothing
+        steps = [make_step_inputs(seed=20 + i) for i in range(5)]
+        state, net, opt = BarsState(4, 2, 300), TaskNet(4, SplitMix64(1)), _task_optimizer()
+        plain_net, plain_opt = TaskNet(4, SplitMix64(1)), _task_optimizer()
+        for tr, lab, tg in steps:
+            loss, diag = bars_step(state, net, opt, 0, tr, lab, tg,
+                                   filter_source=False, train_target=False)
+            with Tape() as tape:
+                logits, _ = plain_net.forward(Tensor(tr))
+                plain_loss = softmax_cross_entropy(logits, lab)
+            params = plain_net.params.tensors()
+            plain_opt.step(params, tape.backward(plain_loss, params))
+            assert not diag.skipped
+            assert loss == plain_loss.item()
+            for name, p in net.params.state_arrays().items():
+                np.testing.assert_array_equal(p, plain_net.params.state_arrays()[name], name)
 
     def test_domain_out_of_range(self):
         state, net, opt = self.fresh()

@@ -20,7 +20,6 @@ from mtda.pipeline import (
     phase_transfer,
     run_phase,
     run_pipeline,
-    run_source_only_baseline,
     transfer_dataset,
 )
 from mtda.toydata import BUILTIN_DOMAINS, Scenes, export, generate, load
@@ -142,13 +141,6 @@ def test_stats_equal_raw_image_statistics_on_zero_noise_domain(tmp_path):
     var = ((stream - mu) ** 2).sum(axis=0) / ((len(scenes) - 1) * 16 * 16)
     np.testing.assert_allclose(st.mu, mu, atol=1e-8)
     np.testing.assert_allclose(st.sigma**2, var, atol=1e-8)
-
-
-def test_baseline_uses_source_only(tmp_path):
-    cfg = mini_cfg(tmp_path)
-    data = build_datasets(cfg)
-    _, res = run_source_only_baseline(cfg, data)
-    assert set(res) == {"dusk", "night"}
 
 
 def test_stats_checkpoint_files_per_domain(tmp_path):
