@@ -3,8 +3,9 @@
 Everything the transfer and task networks need lives here: convolution,
 a nearest 2x upsample fused with the 3x3 convolution after it,
 fully-connected, instance normalization, ReLU, the loss functions, and a
-handful of structural ops (concat/slice on channels, nearest upsampling,
-channel-wise affine modulation, global average pooling, batch tiling).
+handful of structural ops (concat/slice on channels and on the batch axis,
+nearest upsampling, channel-wise affine modulation, global average pooling,
+batch tiling).
 Each op computes its forward value with numpy and, when a :class:`Tape` is
 active, records a vector-Jacobian closure.  ``Tape.backward(loss, wrt)``
 replays the records in exact reverse execution order and returns the
@@ -538,6 +539,37 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _emit(out, (x,), vjp)
 
 
+def concat_batch(parts: list[Tensor]) -> Tensor:
+    """The tensors stacked on the batch axis, in order."""
+    if not parts:
+        raise ValueError("concat_batch needs at least one tensor")
+    base = parts[0].shape
+    for t in parts[1:]:
+        if t.data.ndim != len(base) or t.shape[1:] != base[1:]:
+            raise ShapeError(f"concat_batch: {t.shape} incompatible with {base}")
+    out = np.concatenate([t.data for t in parts])
+    splits = np.cumsum([t.shape[0] for t in parts])[:-1]
+
+    def vjp(g: np.ndarray):
+        return tuple(np.split(g, splits))
+
+    return _emit(out, tuple(parts), vjp)
+
+
+def slice_batch(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start .. stop-1 of x."""
+    if x.data.ndim < 1 or not (0 <= start < stop <= x.shape[0]):
+        raise ShapeError(f"slice_batch [{start}:{stop}] out of range for shape {x.shape}")
+    out = x.data[start:stop].copy()
+
+    def vjp(g: np.ndarray):
+        dx = np.zeros(x.shape)
+        dx[start:stop] = g
+        return dx,
+
+    return _emit(out, (x,), vjp)
+
+
 def upsample_nearest2x(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"upsample input must be (B,C,H,W), got {x.shape}")
@@ -618,8 +650,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def repeat_batch(x: Tensor, n: int) -> Tensor:
-    """n copies of x stacked on the batch axis, copy-major: row k*B + b is x[b]."""
-    out = np.tile(x.data, (n,) + (1,) * (x.data.ndim - 1))
+    """n copies of x stacked on the batch axis, copy-major: row k*B + b is x[b].
+    One copy is a read-only view of x's array, not a copy."""
+    out = np.broadcast_to(x.data, (n,) + x.shape).reshape((n * x.shape[0],) + x.shape[1:])
 
     def vjp(g: np.ndarray):
         return g.reshape((n,) + x.shape).sum(axis=0),

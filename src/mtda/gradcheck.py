@@ -30,6 +30,7 @@ from .autodiff import (
     Tensor,
     channel_affine,
     clamp_unit,
+    concat_batch,
     concat_channels,
     conv2d,
     fully_connected,
@@ -40,6 +41,7 @@ from .autodiff import (
     relu,
     repeat_batch,
     sigmoid_bce_with_logits,
+    slice_batch,
     slice_channels,
     softmax_cross_entropy,
     tensor_sum,
@@ -211,6 +213,13 @@ def _build_concat_slice(rng):
                     rng.derive("probe")), [a, b])
 
 
+def _build_concat_slice_batch(rng):
+    a = _rand(rng, 2, 3, 4, 4)
+    b = _rand(rng, 3, 3, 4, 4)
+    return (_probed(lambda: slice_batch(concat_batch([a, b]), 1, 4),
+                    rng.derive("probe")), [a, b])
+
+
 def _build_tad(rng):
     from .stats import DomainStatistics
     from .transfer import tad_forward
@@ -239,9 +248,12 @@ def _build_dst_block(rng):
     for fc in (block.fc_scale_b, block.fc_bias_b):
         fc.weights.data = rng.normal(fc.weights.data.size).reshape(fc.weights.shape)
         fc.bias.data = rng.normal(fc.bias.data.size)
-    x = _rand(rng, 1, 4, 5, 5)
-    stats = DomainStatistics(mu=rng.normal(3), sigma=np.abs(rng.normal(3)) + 0.5, n=10)
-    return (_probed(lambda: block.forward(x, [stats]), rng.derive("probe")),
+    x = _rand(rng, 2, 4, 5, 5)
+    # two targets, as in MtdtModel.dst_transfer's first block: one statistics
+    # entry per row of the two copies of x
+    s0, s1 = (DomainStatistics(mu=rng.normal(3), sigma=np.abs(rng.normal(3)) + 0.5, n=10)
+              for _ in range(2))
+    return (_probed(lambda: block.forward(x, [s0, s0, s1, s1], copies=2), rng.derive("probe")),
             [x] + params.tensors())
 
 
@@ -271,6 +283,7 @@ REGISTRY: list[tuple[str, Callable]] = [
     ("sigmoid_bce_with_logits", _build_bce),
     ("channel_affine", _build_channel_affine),
     ("concat_slice_channels", _build_concat_slice),
+    ("concat_slice_batch", _build_concat_slice_batch),
     ("upsample_nearest2x", _build_unary(upsample_nearest2x, (2, 3, 3, 3))),
     ("global_avg_pool", _build_unary(global_avg_pool, (2, 3, 4, 4))),
     ("tad", _build_tad),

@@ -212,6 +212,9 @@ def transfer_dataset(model: MtdtModel, scenes: Scenes,
         rows = slice(start, start + INFER_BATCH)
         style, content = model.extract_style_content(Tensor(scenes.images[rows]),
                                                      scenes.labels[rows])
+        # one call per target, though one call could restyle toward all: each
+        # call is then an INFER_BATCH-row batch, the unit that the benchmark's
+        # infer-restyle workload times as one operation
         for images, stats in zip(moved, stats_list):
             images[rows] = model.transfer_image(style, content, [stats]).data
     return [Scenes(images, scenes.labels) for images in moved]

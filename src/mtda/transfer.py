@@ -15,8 +15,10 @@ The generator decodes a feature back to an image through one 3x3 conv and
 two nearest-2x-upsample-then-3x3-conv layers; each of those runs as one
 ``upsample_conv2d`` at its input's resolution, a quarter of the pixels.
 ``MtdtModel.transfer_image`` is the one restyle: DST blocks, then
-``gamma * content + beta``, generate, and a clamp to [-1,1].  Training, the
-exported restyled sets and the critic's accuracy all call it.
+``gamma * content + beta`` (``restyle_features``), generate, and a clamp to
+[-1,1].  It takes one statistics entry per target and returns the batch
+restyled toward each, domain-major.  The exported restyled sets and the
+critic's accuracy call it; training runs its two halves.
 
 One critic, shared by every target, carries a trunk with a patch-logit head
 (real/fake per patch) and a domain-classification head.  Real/fake terms use
@@ -29,12 +31,15 @@ the restyled images.
 
 ``mtdt_losses`` builds every term in one forward pass over all N targets
 at once: the N target batches arrive stacked domain-major in one (N*B)
-array, the source style and content are tiled N times to match, and TAD
-reads one statistics row per sample, so one ``transfer_image`` call, one
-perceptual and three critic passes serve every target.  A training
-iteration records that pass on one tape and asks it twice for gradients:
-the generator total's with respect to the generator parameters, then the
-critic total's with respect to the critic parameters.
+array and the source is restyled toward all N in one ``dst_transfer``.
+Where the math is the same for every route, the rows are stacked on the
+batch axis: per iteration one ``encode`` of source and targets, one
+``generate`` of every reconstruction and restyle, two perceptual passes
+and two critic passes, the generator's view of the restyled
+images and the critic's own of targets and restyled images together.  A
+training iteration records that pass on one tape and asks it twice for
+gradients: the generator total's with respect to the generator parameters,
+then the critic total's with respect to the critic parameters.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import (
+    IGNORE_VALUE,
     LayerParams,
     Tape,
     Tensor,
     ShapeError,
     channel_affine,
     clamp_unit,
+    concat_batch,
     concat_channels,
     conv2d,
     fully_connected,
@@ -58,6 +65,7 @@ from .autodiff import (
     relu,
     repeat_batch,
     sigmoid_bce_with_logits,
+    slice_batch,
     slice_channels,
     softmax_cross_entropy,
     upsample_conv2d,
@@ -78,9 +86,15 @@ def tad_forward(x: Tensor, stats: list[DomainStatistics], fc_scale: LayerParams,
     ``stats`` holds one entry for the whole batch or one per sample; the
     stacked MTDT batch passes one per sample, domain-major.  Mismatched
     statistics, FC and channel sizes raise ShapeError from the ops."""
+    return tad_modulate(instance_norm(x), stats, fc_scale, fc_bias)
+
+
+def tad_modulate(normed: Tensor, stats: list[DomainStatistics], fc_scale: LayerParams,
+                 fc_bias: LayerParams) -> Tensor:
+    """TAD after its instance norm: rescale by FC(sigma), shift by FC(mu)."""
     scale = fully_connected(Tensor(np.stack([s.sigma for s in stats])), fc_scale)
     bias = fully_connected(Tensor(np.stack([s.mu for s in stats])), fc_bias)
-    return channel_affine(instance_norm(x), scale, bias)
+    return channel_affine(normed, scale, bias)
 
 
 class TadResBlock:
@@ -106,12 +120,14 @@ class TadResBlock:
         self.fc_scale_b.weights.data[:] = 0.0
         self.fc_scale_b.bias.data[:] = 0.0
 
-    def forward(self, x: Tensor, stats: list[DomainStatistics]) -> Tensor:
-        h = conv2d(x, self.conv_a, stride=1, pad=1)
-        h = relu(tad_forward(h, stats, self.fc_scale_a, self.fc_bias_a))
+    def forward(self, x: Tensor, stats: list[DomainStatistics], copies: int = 1) -> Tensor:
+        """The block on ``copies`` copies of x stacked as by ``repeat_batch``,
+        with ``stats`` as TAD reads it for their rows.  conv_a and its instance
+        norm read no statistics, so they run once on x, before the tiling."""
+        h = repeat_batch(instance_norm(conv2d(x, self.conv_a, stride=1, pad=1)), copies)
+        h = relu(tad_modulate(h, stats, self.fc_scale_a, self.fc_bias_a))
         h = conv2d(h, self.conv_b, stride=1, pad=1)
-        h = tad_forward(h, stats, self.fc_scale_b, self.fc_bias_b)
-        return x + h
+        return repeat_batch(x, copies) + tad_forward(h, stats, self.fc_scale_b, self.fc_bias_b)
 
 
 class MtdtModel:
@@ -188,13 +204,21 @@ class MtdtModel:
 
     def dst_transfer(self, style: tuple[Tensor, Tensor],
                      stats: list[DomainStatistics]) -> tuple[Tensor, Tensor]:
-        """Map the source style pair (gamma, beta) to the target-styled pair
-        for `stats` (one entry for the whole batch or one per sample, as in
-        TAD)."""
-        cf = style[0].shape[1]
-        h = concat_channels(list(style))
-        for block in self.dst_blocks:
-            h = block.forward(h, stats)
+        """Map the B-row source style pair (gamma, beta) to the pair restyled
+        toward each of the N entries of `stats`, one per target: N*B rows,
+        domain-major, rows k*B .. k*B+B-1 toward ``stats[k]``.  The first
+        block's conv_a and instance norm read no statistics, so they run once
+        on the B rows; their output and the block's skip input are then tiled
+        N times."""
+        b, cf = style[0].shape[:2]
+        n = len(stats)
+        # TAD takes one entry for the whole batch, or one per row; one target's
+        # FCs then run on one row, as the restyle of one target always has
+        rows = stats if n == 1 else [s for s in stats for _ in range(b)]
+        first, *rest = self.dst_blocks
+        h = first.forward(concat_channels(list(style)), rows, copies=n)
+        for block in rest:
+            h = block.forward(h, rows)
         return slice_channels(h, 0, cf), slice_channels(h, cf, 2 * cf)
 
     def generate(self, feature: Tensor) -> Tensor:
@@ -205,14 +229,21 @@ class MtdtModel:
         h = relu(instance_norm(upsample_conv2d(h, self.gen2)))
         return upsample_conv2d(h, self.gen3)
 
+    def restyle_features(self, style: tuple[Tensor, Tensor], content: Tensor,
+                         stats: list[DomainStatistics]) -> Tensor:
+        """The generator input ``gamma * content + beta`` of the restyle
+        toward each entry of `stats`, N*B rows, domain-major, with (gamma,
+        beta) from :meth:`dst_transfer`."""
+        gamma, beta = self.dst_transfer(style, stats)
+        return gamma * repeat_batch(content, len(stats)) + beta
+
     def transfer_image(self, style: tuple[Tensor, Tensor], content: Tensor,
                        stats: list[DomainStatistics]) -> Tensor:
         """Restyle a batch from its :meth:`extract_style_content` output toward
-        `stats` (one entry for the whole batch or one per sample, as in TAD):
-        transfer -> gamma * content + beta -> generate -> clamp to [-1,1],
-        the range real scenes live in."""
-        gamma, beta = self.dst_transfer(style, stats)
-        return clamp_unit(self.generate(gamma * content + beta))
+        each entry of `stats`, one per target: :meth:`restyle_features` ->
+        generate -> clamp to [-1,1], the range real scenes live in.  N*B rows,
+        domain-major."""
+        return clamp_unit(self.generate(self.restyle_features(style, content, stats)))
 
 
 class MultiHeadDiscriminator:
@@ -285,14 +316,18 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     images, their (B,H,W) integer labels, and the N target batches stacked
     domain-major into one (N*B,3,H,W) array.  Rows k*B .. k*B+B-1 belong to
     target k, carry domain label k, and are what the source is restyled
-    toward with ``stats_list[k]``, by one :meth:`MtdtModel.transfer_image`
-    call over the source style and content tiled N times.  The target
-    reconstruction term reads ``model.encode(targets)``.  The critic's own
-    terms see the restyled images as a fresh leaf, so the discriminator
-    total depends only on discriminator parameters.  The generator total
-    depends on the generator-side parameters and, through the critic's view
-    of the restyled images, on the discriminator parameters too;
-    :func:`train_mtdt` asks each total only for its own side's gradients.
+    toward with ``stats_list[k]``; those restyled rows equal
+    ``model.transfer_image(style, content, stats_list)``.  Each iteration
+    runs one ``encode`` of source and targets, and one ``generate`` of its
+    2B + 2N*B rows: the source and targets from their encodings, the
+    source from its own style and content, and the restyled source.  The
+    critic's own terms are one pass over the targets and the restyled images,
+    which it sees as a fresh leaf, so the discriminator total depends only
+    on discriminator parameters.  The generator total depends on the
+    generator-side parameters and, through the critic's view of the restyled
+    images, on the discriminator parameters too; :func:`train_mtdt` asks
+    each total only for its own side's gradients.  Raises ShapeError if the
+    target images' (C,H,W) differ from the source images'.
     """
     source_images, source_labels, target_images = batch
     n = len(stats_list)
@@ -300,32 +335,38 @@ def mtdt_losses(model: MtdtModel, disc: MultiHeadDiscriminator, pnet: Perceptual
     if len(target_images) != n * b:
         raise ValueError(f"{n} statistics for {len(target_images)} target rows; "
                          f"{n} domains of {b} source rows need {n * b}")
+    if target_images.shape[1:] != source_images.shape[1:]:
+        raise ShapeError(f"target images of shape {target_images.shape[1:]} do not match "
+                         f"source images of shape {source_images.shape[1:]}")
     if n != disc.num_domains:
         raise ValueError(f"discriminator expects {disc.num_domains} domains, got {n}")
-    source, targets = Tensor(source_images), Tensor(target_images)
+    source = Tensor(source_images)
     domains = np.repeat(np.arange(n), b)
 
-    (gamma, beta), content = model.extract_style_content(source, source_labels)
-    rec = l1_loss(model.generate(model.encode(source)), source)
-    rec = rec + l1_loss(model.generate(gamma * content + beta), source)
-    # every per-domain term is a mean over B rows, so n * (mean over the N*B
-    # stacked rows) is the sum over domains of the per-domain means
-    rec = rec + n * l1_loss(model.generate(model.encode(targets)), targets)
-
-    rows = [stats for stats in stats_list for _ in range(b)]
-    fake = model.transfer_image((repeat_batch(gamma, n), repeat_batch(beta, n)),
-                                repeat_batch(content, n), rows)
+    style, content = model.extract_style_content(source, source_labels)
+    gamma, beta = style
+    encoded = model.encode(Tensor(np.concatenate([source_images, target_images])))
+    images = model.generate(concat_batch([encoded, gamma * content + beta,
+                                          model.restyle_features(style, content, stats_list)]))
+    m = (2 + n) * b
+    # each reconstruction route's term is a mean over its rows, B per route and
+    # N*B for the targets, so (2 + n) * (the mean over all m rows) is their sum
+    rec = (2 + n) * l1_loss(slice_batch(images, 0, m), Tensor(
+        np.concatenate([source_images, target_images, source_images])))
+    fake = clamp_unit(slice_batch(images, m, m + n * b))
     per = n * mse_loss(pnet.features(fake), repeat_batch(pnet.features(source), n))
 
     patch_fake, dom_fake = disc.forward(fake)
     adv_g = n * sigmoid_bce_with_logits(patch_fake, np.ones(patch_fake.shape))
     cls_g = n * softmax_cross_entropy(dom_fake, domains)
 
-    patch_real, dom_real = disc.forward(targets)
-    patch_fake_d, _ = disc.forward(Tensor(fake.data))
-    adv_d = n * (sigmoid_bce_with_logits(patch_real, np.ones(patch_real.shape))
-                 + sigmoid_bce_with_logits(patch_fake_d, np.zeros(patch_fake_d.shape)))
-    cls_d = n * softmax_cross_entropy(dom_real, domains)
+    # real targets, then restyled images; only the real ones carry a domain
+    patch_d, dom_d = disc.forward(Tensor(np.concatenate([target_images, fake.data])))
+    real = np.zeros(patch_d.shape)
+    real[: n * b] = 1.0
+    adv_d = 2 * n * sigmoid_bce_with_logits(patch_d, real)
+    cls_d = n * softmax_cross_entropy(dom_d, np.concatenate(
+        [domains, np.full(n * b, IGNORE_VALUE)]))
     terms = {"rec": rec, "per": per, "adv_g": adv_g, "cls_g": cls_g,
              "adv_d": adv_d, "cls_d": cls_d}
     return rec + per + adv_g + cls_g, adv_d + cls_d, terms

@@ -15,6 +15,7 @@ from mtda.autodiff import (
     Tape,
     TapeError,
     Tensor,
+    concat_batch,
     conv2d,
     fully_connected,
     instance_norm,
@@ -22,6 +23,7 @@ from mtda.autodiff import (
     mse_loss,
     relu,
     sigmoid_bce_with_logits,
+    slice_batch,
     softmax_cross_entropy,
     tensor_sum,
     upsample_conv2d,
@@ -517,6 +519,36 @@ class TestBackward:
         a = conv2d(Tensor(x), p, 2, 1).data
         b = conv2d(Tensor(x), p, 2, 1).data
         assert (a == b).all()
+
+
+
+class TestBatchAxis:
+    def test_slice_of_concat_gives_each_part_back(self):
+        rng = SplitMix64(5)
+        a, b = rng.normal(2 * 3 * 4).reshape(2, 3, 4), rng.normal(3 * 3 * 4).reshape(3, 3, 4)
+        joined = concat_batch([Tensor(a), Tensor(b)])
+        np.testing.assert_array_equal(joined.data, np.concatenate([a, b]))
+        np.testing.assert_array_equal(slice_batch(joined, 0, 2).data, a)
+        np.testing.assert_array_equal(slice_batch(joined, 2, 5).data, b)
+
+    def test_gradients_route_back_to_their_rows(self):
+        a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((1, 3)),
+                                                                   requires_grad=True)
+        with Tape() as tape:
+            loss = tensor_sum(slice_batch(concat_batch([a, b]), 1, 3))
+        da, db = tape.backward(loss, [a, b])
+        np.testing.assert_array_equal(da, [[0, 0, 0], [1, 1, 1]])
+        np.testing.assert_array_equal(db, [[1, 1, 1]])
+
+    def test_bad_shapes_and_ranges_raise(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError, match="concat_batch"):
+            concat_batch([x, Tensor(np.zeros((2, 4, 4)))])
+        with pytest.raises(ValueError, match="at least one"):
+            concat_batch([])
+        for start, stop in ((0, 3), (1, 1), (-1, 2)):
+            with pytest.raises(ShapeError, match="slice_batch"):
+                slice_batch(x, start, stop)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc settings")

@@ -324,6 +324,49 @@ class TestStackedTargets:
                     np.testing.assert_allclose(got_grads[side][p], g, rtol=1e-9, atol=1e-15,
                                                err_msg=f"{side} {p}")
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_critic_sees_the_restyle_toward_every_target(self, n, monkeypatch):
+        model, disc, pnet, batch, stats = loss_setup(n)
+        source_images, source_labels, target_images = batch
+        seen = []
+        forward = MultiHeadDiscriminator.forward
+
+        def spy(self, image):
+            seen.append(image.data)
+            return forward(self, image)
+
+        monkeypatch.setattr(MultiHeadDiscriminator, "forward", spy)
+        mtdt_losses(model, disc, pnet, batch, stats)
+        style, content = model.extract_style_content(Tensor(source_images), source_labels)
+        want = model.transfer_image(style, content, stats).data
+        # the generator's view of the restyles, then the critic's own pass over
+        # the real targets and the restyles
+        assert len(seen) == 2
+        assert seen[0].tobytes() == want.tobytes()
+        assert seen[1].tobytes() == np.concatenate([target_images, want]).tobytes()
+        b = len(source_images)
+        for k, one in enumerate(stats):
+            np.testing.assert_allclose(
+                want[k * b : (k + 1) * b],
+                model.transfer_image(style, content, [one]).data, rtol=0, atol=1e-12)
+
+    def test_first_dst_conv_runs_once_for_every_target(self, monkeypatch):
+        import mtda.transfer
+
+        model, disc, pnet, batch, stats = loss_setup(3)
+        rows = []
+
+        def spy(x, p, *args, **kwargs):
+            rows.append((p, len(x.data)))
+            return conv2d(x, p, *args, **kwargs)
+
+        monkeypatch.setattr(mtda.transfer, "conv2d", spy)
+        mtdt_losses(model, disc, pnet, batch, stats)
+        first, second = model.dst_blocks
+        assert [r for p, r in rows if p is first.conv_a] == [2]
+        assert [r for p, r in rows if p is first.conv_b] == [6]
+        assert [r for p, r in rows if p is second.conv_a] == [6]
+
     def test_tape_length_does_not_grow_with_targets(self):
         lengths = []
         for n in (1, 2, 3):
@@ -428,6 +471,14 @@ class TestLossStack:
             t = Tensor(target_images[2 * k : 2 * k + 2])
             want += l1_loss(self.model.generate(self.model.encode(t)), t).item()
         assert terms["rec"].item() == pytest.approx(want, abs=1e-12)
+
+    def test_target_images_of_another_size_rejected(self):
+        # one encode and one critic pass stack source and targets on the batch axis
+        source_images, source_labels, target_images = self.batch
+        with pytest.raises(ShapeError, match=r"\(3, 16, 16\) do not match"):
+            mtdt_losses(self.model, self.disc, self.pnet,
+                        (source_images, source_labels, target_images[:, :, :16, :16]),
+                        self.stats)
 
     def test_stats_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="statistics for"):
